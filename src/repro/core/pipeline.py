@@ -18,13 +18,21 @@ stops fetch until it resolves plus the recovery penalty; a memory-order
 violation squashes from the offending load, re-fetches, and charges the
 same penalty.  Wrong-path execution itself is not simulated (trace-driven;
 see DESIGN.md).
+
+Idle-cycle skipping: most cycles of a memory-bound run fetch, issue and
+commit nothing.  Once such a quiet stretch provably repeats, ``step()``
+jumps the clock to the next cycle at which anything can change and
+charges the skipped cycles exactly the counters the plain loop would
+have charged (see :meth:`Pipeline._skip_quiet` and
+docs/performance.md, "Idle-cycle skipping").
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Hashable, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..frontend.branch_predictor import FrontEnd
 from ..isa.opcodes import OpClass
@@ -104,7 +112,8 @@ class Pipeline:
             per-µop lifecycle events.  Every hook guards on this single
             nullable reference, so the disabled cost is one branch.
         attribution: Optional :class:`~repro.telemetry.attribution.
-            StallAttribution` fed once per cycle; its totals land on
+            StallAttribution` fed once per simulated cycle (and in bulk
+            for a skipped quiet stretch); its totals land on
             ``SimResult.stats.stall_cycles`` / ``.occupancy``.
         metrics: Optional :class:`~repro.telemetry.metrics.
             MetricsRegistry` receiving hardware-style event counters
@@ -163,6 +172,10 @@ class Pipeline:
         self.energy = self.stats.energy_events
 
         self.cycle = 0
+        #: cycle an external driver must see the clock stop at (the
+        #: sampled driver's end of warm-up): a quiet-stretch jump never
+        #: lands past it.  ``None`` when nobody is watching.
+        self.observe_at: Optional[int] = None
         self.commit_count = 0
         self.fetch_index = 0
         self.fetch_resume_at = 0
@@ -255,9 +268,10 @@ class Pipeline:
         """Arm the per-run bookkeeping so :meth:`step` can be called.
 
         Split out of :meth:`run` so external drivers — notably the
-        lock-step multi-config runner (:mod:`repro.core.lockstep`) —
-        can interleave single cycles of many pipelines.  ``run()`` is
-        exactly ``begin()``; ``while step(): pass``; ``finalize()``.
+        lock-step multi-config runner (:mod:`repro.core.lockstep`) and
+        the sampled driver — can interleave the steps of many pipelines
+        (a step is one cycle or one skipped quiet stretch).  ``run()``
+        is exactly ``begin()``; ``while step(): pass``; ``finalize()``.
 
         ``start_cycle`` continues a running global clock: the sampled
         driver's measured-window pipelines share a memory hierarchy
@@ -274,15 +288,44 @@ class Pipeline:
         self._last_issue_cycle = start_cycle
         self._fetched_before = 0
         self._issued_before = 0
+        # idle-cycle skipping: the scheduler's opt-in (0 = every cycle),
+        # the marks of the current run of quiet cycles, and every
+        # counter a quiet cycle can charge
+        self._skip_period = getattr(self.scheduler, "skip_period", 0)
+        self._marks: List[_Mark] = []
+        self._ledgers: List = []
+        if self._skip_period:
+            self._ledgers = [
+                _Counts(counts) for counts in
+                (self.energy, *self.scheduler.quiet_counters())
+            ] + [hook for hook in (self.attribution, self.metrics)
+                 if hook is not None]
 
     def step(self) -> bool:
-        """Advance one cycle; False once the whole trace has committed.
+        """Simulate one cycle, then skip the quiet stretch it proves.
+
+        The clock advances by one cycle, or by more when that cycle
+        closed a provably repeating quiet stretch (see
+        :meth:`_skip_quiet`); every statistic is exactly what the same
+        number of one-cycle steps would have produced.  Returns False
+        once the whole trace has committed.
 
         Raises :class:`DeadlockError` exactly as :meth:`run` does; a
         driver stepping several pipelines catches it per pipeline.
         """
         if self.commit_count >= self._total:
             return False
+        marks = self._marks
+        if self._skip_period and self._quiet_candidate():
+            if len(marks) == self._skip_period:
+                del marks[0]
+            marks.append(_Mark(
+                self.cycle, self.stats.issued, len(self.dispatch_queue),
+                self.scheduler.quiet_signature(),
+                [ledger.tally() for ledger in self._ledgers],
+            ))
+        elif marks:
+            marks.clear()
         before = self.commit_count
         self._commit()
         if self.commit_count != before:
@@ -303,7 +346,14 @@ class Pipeline:
         if stats.issued != self._issued_before:
             self._issued_before = stats.issued
             self._last_issue_cycle = self.cycle
-        self.cycle += 1
+        self._advance(1)
+        if marks:
+            self._skip_quiet()
+        return self.commit_count < self._total
+
+    def _advance(self, cycles: int) -> None:
+        """Move the clock on; then the sampler and the watchdog look."""
+        self.cycle += cycles
         if self.sampler is not None:
             self.sampler.tick(self)
         deadlock_cycles = self._deadlock_cycles
@@ -316,7 +366,105 @@ class Pipeline:
             )
         if self.cycle > self._max_cycles:
             raise self._deadlock(f"max_cycles ({self._max_cycles}) exceeded")
-        return self.commit_count < self._total
+
+    # ==================================================================
+    # idle-cycle skipping
+    # ==================================================================
+    def _quiet_candidate(self) -> bool:
+        """Can this cycle only be quiet in the pipeline's own stages?
+
+        True when nothing can commit, complete, rename or fetch, and no
+        completion event is due this cycle or the next (a shorter
+        stretch could not be skipped anyway).  Side-effect free: it
+        never asks the scheduler (CES's ``can_accept`` charges a
+        steering decision).  Issue and dispatch are checked after the
+        cycle ran, by :meth:`_skip_quiet`.
+        """
+        cycle = self.cycle
+        events = self._events
+        if events and events[0][0] <= cycle + 1:
+            return False
+        entries = self.rob._entries
+        table = self.ops
+        if entries and table.completed[entries[0]._i]:
+            return False
+        if (self.pending_redirect is None and cycle >= self.fetch_resume_at
+                and self.fetch_index < self._total
+                and len(self.decode_queue) < self.config.alloc_queue):
+            return False
+        queue = self.decode_queue
+        if queue:
+            slot = queue[0]._i
+            return (table.decode_cycle[slot] + self.config.fetch_latency > cycle
+                    or not self.rename.can_rename(table.op[slot]))
+        return True
+
+    def _skip_quiet(self) -> None:
+        """Jump over the rest of a quiet stretch the last cycles proved.
+
+        Every cycle since ``marks[0]`` passed :meth:`_quiet_candidate`
+        and, judged here, issued and dispatched nothing.  When the
+        scheduler's :meth:`~repro.sched.base.SchedulerBase.
+        quiet_signature` is back at the value of the mark ``period``
+        cycles ago, the whole machine is back in that state, so until
+        :meth:`_horizon` every further ``period`` cycles repeat exactly
+        those cycles: the jump charges each ledger that many repeats of
+        its change since the mark.
+        """
+        marks = self._marks
+        if (self.stats.issued != marks[-1].issued
+                or len(self.dispatch_queue) != marks[-1].dispatching):
+            marks.clear()
+            return
+        signature = self.scheduler.quiet_signature()
+        for period in range(1, len(marks) + 1):
+            mark = marks[-period]
+            if mark.signature == signature:
+                break
+        else:
+            return  # no period closed yet: keep the marks
+        marks.clear()
+        repeats = (self._horizon(mark.cycle) - self.cycle) // period
+        if repeats > 0:
+            for ledger, before in zip(self._ledgers, mark.tallies):
+                ledger.replay(before, repeats)
+            self._advance(repeats * period)
+
+    def _horizon(self, since: int) -> int:
+        """First cycle after ``since`` at which a quiet stretch may end.
+
+        The earliest of everything that changes on its own clock — the
+        event-heap head (stale entries included), ``fetch_resume_at``,
+        the dispatch-queue head's ``available_at``, the decode-queue
+        head's rename-ready cycle, unpipelined FUs' busy-until, the
+        stall-attribution recovery window and the scheduler's own
+        :meth:`~repro.sched.base.SchedulerBase.next_event_cycle` — capped
+        by the next cycle an observer must see: the interval sampler's
+        grid point, the watchdog and ``max_cycles`` trip cycles and
+        :attr:`observe_at`.
+        """
+        ends = [self.fetch_resume_at, *self.ports.busy_until()]
+        if self._events:
+            ends.append(self._events[0][0])
+        if self.dispatch_queue:
+            ends.append(self.dispatch_queue[0][0])
+        if self.decode_queue:
+            ends.append(self.ops.decode_cycle[self.decode_queue[0]._i]
+                        + self.config.fetch_latency)
+        if self.attribution is not None:
+            ends.append(self.attribution.recovery_until)
+        own = self.scheduler.next_event_cycle(since)
+        if own is not None:
+            ends.append(own)
+        ends = [end for end in ends if end > since]
+        ends.append(self._max_cycles + 1)
+        if self._deadlock_cycles:
+            ends.append(self._last_commit_cycle + self._deadlock_cycles + 1)
+        if self.sampler is not None:
+            ends.append(self.sampler.due)
+        if self.observe_at is not None:
+            ends.append(self.observe_at)
+        return min(ends)
 
     def finalize(self) -> SimResult:
         """Seal the stats and build the :class:`SimResult` (call once)."""
@@ -921,6 +1069,38 @@ class Pipeline:
         if self.pending_redirect is not None and self.pending_redirect >= from_seq:
             self.pending_redirect = None
         self._last_ifetch_line = -1
+
+
+class _Mark(NamedTuple):
+    """State at the start of a quiet-candidate cycle (see ``step()``)."""
+
+    cycle: int
+    issued: int
+    dispatching: int  # dispatch-queue length
+    signature: Hashable  # the scheduler's quiet_signature()
+    tallies: List  # one tally() per ledger
+
+
+class _Counts:
+    """A plain name -> count dict (energy events, a scheduler's own
+    statistics) as a quiet-stretch ledger: ``tally()`` copies it,
+    ``replay(before, times)`` charges ``times`` more repeats of every
+    change since that copy."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: Dict[str, int]):
+        self.counts = counts
+
+    def tally(self) -> Dict[str, int]:
+        return dict(self.counts)
+
+    def replay(self, before: Dict[str, int], times: int) -> None:
+        counts = self.counts
+        for name, value in list(counts.items()):
+            delta = value - before.get(name, 0)
+            if delta:
+                counts[name] = value + delta * times
 
 
 def simulate(

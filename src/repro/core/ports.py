@@ -115,6 +115,10 @@ class PortFile:
         busy_until = self._fu_busy.get((port, op_class), 0)
         return busy_until <= cycle
 
+    def busy_until(self) -> List[int]:
+        """Every unpipelined FU's busy-until cycle (some may be past)."""
+        return list(self._fu_busy.values())
+
     def grant(self, port: int, op_class: OpClass, cycle: int,
               latency: int, pipelined: bool) -> None:
         """Consume the port for this cycle (and the FU if unpipelined)."""

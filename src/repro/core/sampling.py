@@ -244,8 +244,8 @@ class SampledSimulation:
     SimResult`` mirror :class:`~repro.core.pipeline.Pipeline`, so
     :func:`~repro.core.lockstep.run_lockstep` drives sampled and full
     simulations interchangeably.  One ``step()`` advances either one
-    detailed cycle of the current window pipeline or one bounded chunk
-    of fast-forward.
+    detailed step of the current window pipeline (a cycle or a skipped
+    quiet stretch) or one bounded chunk of fast-forward.
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
@@ -389,6 +389,9 @@ class SampledSimulation:
         self._pipe = pipe
         self._window_start_op = start
         self._warmup_until = self.cycle + config.warmup_cycles
+        # measurement starts at exactly this cycle: a quiet-stretch jump
+        # must stop there (Pipeline.observe_at), not overshoot it
+        pipe.observe_at = self._warmup_until
         self._start_base = _snapshot(pipe)
         self._base: Optional[Dict] = None
         self._sampler = IntervalSampler(1 << 60)  # manual takes only
@@ -400,6 +403,7 @@ class SampledSimulation:
 
     def _begin_measure(self) -> None:
         pipe = self._pipe
+        pipe.observe_at = None
         self._base = _snapshot(pipe)
         self._sampler.take(pipe)
         self.warmup_ops += pipe.commit_count

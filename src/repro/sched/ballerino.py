@@ -22,7 +22,7 @@ the op starts the second partition.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
@@ -34,6 +34,9 @@ class BallerinoScheduler(SchedulerBase):
     """The full Ballerino scheduling window."""
 
     kind = "ballerino"
+    #: a sharing P-IQ that issues nothing hands its single read port to
+    #: the other chain every cycle, so quiet stretches repeat every 2
+    skip_period = 2
 
     def __init__(
         self,
@@ -293,6 +296,15 @@ class BallerinoScheduler(SchedulerBase):
         for op in reversed(kept):
             self.siq.appendleft(op)
         return issued
+
+    def quiet_signature(self) -> Tuple:
+        # ops only move S-IQ -> P-IQ, so lengths show every steer; the
+        # active partitions show the head-selection toggle
+        return len(self.siq), tuple((piq.count, piq.active)
+                                    for piq in self.piqs)
+
+    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
+        return self.head_states, self.outcomes
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # completions are observed only by the P-IQ heads + S-IQ window

@@ -4,8 +4,10 @@ A scheduler owns the scheduling window between dispatch and issue.  The
 pipeline calls:
 
 * :meth:`can_accept` / :meth:`insert` at dispatch (in program order);
-* :meth:`select` once per cycle — the scheduler picks ready micro-ops,
-  acquiring issue ports through ``core.try_grant``, and returns them;
+* :meth:`select` once per simulated cycle — the scheduler picks ready
+  micro-ops, acquiring issue ports through ``core.try_grant``, and
+  returns them (cycles skipped as quiet repeat the calls that proved
+  them quiet; see :attr:`SchedulerBase.skip_period`);
 * :meth:`on_wakeup` when a physical register becomes ready (used for
   energy accounting of wakeup broadcasts);
 * :meth:`on_op_ready` when a specific op's *last* outstanding dependence
@@ -25,11 +27,15 @@ Schedulers record their energy-relevant activity into ``core.energy``
 ``pscb_write``     scoreboard updates
 ``steer``          steering-mux operations
 =================  ======================================================
+
+Idle-cycle skipping is opt-in per scheduler through :attr:`SchedulerBase.
+skip_period` and the three ``quiet_*`` / ``next_event_cycle`` hooks below
+(see docs/performance.md, "Idle-cycle skipping").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, TYPE_CHECKING
+from typing import Dict, Hashable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.ifop import InFlightOp
 
@@ -41,6 +47,20 @@ class SchedulerBase:
     """Common plumbing for all scheduling-window implementations."""
 
     kind = "base"
+
+    #: Idle-cycle skipping opt-in.  ``0`` (the default) keeps this
+    #: scheduler on the plain every-cycle loop.  ``n > 0`` promises, for
+    #: any cycle in which nothing issues and nothing is dispatched:
+    #:
+    #: * ``select``/``can_accept`` change the window only in ways
+    #:   :meth:`quiet_signature` sees, and a stretch of such cycles that
+    #:   repeats brings the signature back within ``n`` cycles (Ballerino's
+    #:   shared P-IQs alternate their examined head, so it needs 2);
+    #: * every statistic they bump lives in ``core.energy``, the metrics
+    #:   registry or one of the dicts :meth:`quiet_counters` returns;
+    #: * they read the clock only through ``core.try_grant`` (whose FU
+    #:   busy-until the pipeline watches) and :meth:`next_event_cycle`.
+    skip_period = 0
 
     def __init__(self, core: "Pipeline"):
         self.core = core
@@ -92,6 +112,24 @@ class SchedulerBase:
     def on_complete(self, ifop: InFlightOp, cycle: int) -> None:
         """An op finished execution (training hook, e.g. delay trackers)."""
 
+    # -- idle-cycle skipping (see skip_period) -------------------------
+    def quiet_signature(self) -> Hashable:
+        """Cheap fingerprint of what a cycle without issue or dispatch
+        may move inside the window (queue lengths, examined heads).
+
+        The default suits windows where only an issue moves an op.
+        """
+        return None
+
+    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
+        """The scheduler's own statistics dicts a quiet cycle may bump."""
+        return ()
+
+    def next_event_cycle(self, after: int) -> Optional[int]:
+        """Earliest cycle ``> after`` at which ``select`` behaves
+        differently on its own clock (e.g. an FXA IXU stage exit)."""
+        return None
+
     # -- recovery ------------------------------------------------------
     def flush_from(self, seq: int) -> None:
         raise NotImplementedError
@@ -100,7 +138,7 @@ class SchedulerBase:
     def check_invariants(self) -> None:
         """Assert window-shape invariants (FIFO order, capacity, ...).
 
-        Called once per cycle by :func:`repro.verify.invariants.
+        Called once per simulated cycle by :func:`repro.verify.invariants.
         check_pipeline` when the pipeline runs with ``check_invariants``
         set.  The default is a no-op; window implementations override it
         with structure-specific assertions.

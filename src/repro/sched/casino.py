@@ -29,6 +29,7 @@ class CasinoScheduler(SchedulerBase):
     """Cascaded S-IQs in front of an in-order IQ."""
 
     kind = "casino"
+    skip_period = 1
 
     def __init__(self, core, queue_sizes: Sequence[int] = (8, 40, 40, 8),
                  window: int = 4):
@@ -129,6 +130,10 @@ class CasinoScheduler(SchedulerBase):
             self.passes += 1
             self.energy["iq_write"] += 1  # physical copy to the next queue
         return issued
+
+    def quiet_signature(self) -> Tuple[int, ...]:
+        # ops only ever pass downstream, so equal lengths mean no pass
+        return tuple(len(queue) for queue in self.queues)
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # every queue head window observes readiness

@@ -21,7 +21,7 @@ Steering-outcome counters reproduce Figure 4's breakdown.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
@@ -32,6 +32,7 @@ class CESScheduler(SchedulerBase):
     """Clustered in-order P-IQs with dependence steering."""
 
     kind = "ces"
+    skip_period = 1
 
     def __init__(self, core, num_piqs: int = 8, piq_size: int = 12,
                  mda_steering: bool = False):
@@ -166,6 +167,10 @@ class CESScheduler(SchedulerBase):
             self.head_states["issue"] += 1
             issued.append(head)
         return issued
+
+    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
+        # a blocked dispatch re-decides (and counts) a stall every cycle
+        return self.head_states, self.outcomes
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # only P-IQ heads observe completions (no CAM broadcast)

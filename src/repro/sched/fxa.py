@@ -16,7 +16,7 @@ one stage behind it — the IXU's internal bypass network.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.ifop import InFlightOp
 from ..isa.opcodes import OpClass
@@ -31,6 +31,7 @@ class FXAScheduler(SchedulerBase):
     """In-order IXU filter + half-size out-of-order back end."""
 
     kind = "fxa"
+    skip_period = 1
 
     def __init__(self, core, iq_size: int = 48, ixu_depth: int = 3):
         super().__init__(core)
@@ -96,6 +97,15 @@ class FXAScheduler(SchedulerBase):
         self.backend_issued += len(backend_issued)
         issued.extend(backend_issued)
         return issued
+
+    def quiet_signature(self) -> Tuple[int, int]:
+        # an op that leaves the IXU for the back end changes both
+        return len(self._ixu), self.backend.occupancy()
+
+    def next_event_cycle(self, after: int) -> Optional[int]:
+        # the cycle each IXU op reaches the last stage and must drop out
+        exits = [entered + self.ixu_depth - 1 for entered, _ in self._ixu]
+        return min((cycle for cycle in exits if cycle > after), default=None)
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         self.backend.on_wakeup(preg, cycle)

@@ -18,6 +18,7 @@ class InOrderScheduler(SchedulerBase):
     """In-order issue from a single FIFO IQ."""
 
     kind = "inorder"
+    skip_period = 1
 
     def __init__(self, core, iq_size: int = 96):
         super().__init__(core)

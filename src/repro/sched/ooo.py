@@ -20,6 +20,7 @@ class OutOfOrderScheduler(SchedulerBase):
     """Unified CAM-based IQ with per-port prefix-sum selection."""
 
     kind = "ooo"
+    skip_period = 1
 
     def __init__(self, core, iq_size: int = 96, oldest_first: bool = False):
         super().__init__(core)

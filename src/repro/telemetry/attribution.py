@@ -35,7 +35,7 @@ The engine also samples per-cycle occupancy of the major structures
 
 from __future__ import annotations
 
-from typing import Dict, TYPE_CHECKING
+from typing import Dict, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import Pipeline
@@ -53,9 +53,10 @@ OCCUPANCY_KEYS = ("rob", "sched", "decode_queue", "lq", "sq")
 class StallAttribution:
     """Per-cycle stall classifier, fed once per simulated cycle.
 
-    The pipeline calls :meth:`record_cycle` at the end of every cycle
-    (guarded by a nullable reference, like the tracer) and notifies the
-    engine of recovery windows and dispatch backpressure via
+    The pipeline calls :meth:`record_cycle` at the end of every cycle it
+    simulates (guarded by a nullable reference, like the tracer), and
+    :meth:`replay` for a quiet stretch it skips; it notifies the engine
+    of recovery windows and dispatch backpressure via
     :meth:`note_recovery` / :meth:`note_dispatch_block`.
     """
 
@@ -90,6 +91,27 @@ class StallAttribution:
         occ["sq"] += pipe.lsu.sq_occupancy
         self.cycles[self._classify(pipe, committed)] += 1
         self._dispatch_block = ""
+
+    # -- bulk path (idle-cycle skipping, see Pipeline._skip_quiet) ------
+    @property
+    def recovery_until(self) -> int:
+        """Cycle the current recovery window ends (``squash`` charging)."""
+        return self._recovery_until
+
+    def tally(self) -> Tuple[Dict[str, int], Dict[str, int], int]:
+        """Copies of the per-cycle counters, for :meth:`replay`."""
+        return dict(self.cycles), dict(self._occupancy), self.samples
+
+    def replay(self, before: Tuple[Dict[str, int], Dict[str, int], int],
+               times: int) -> None:
+        """Charge ``times`` more repeats of the cycles recorded since
+        ``before`` was tallied — buckets, occupancy and samples alike."""
+        cycles, occupancy, samples = before
+        for counts, base in ((self.cycles, cycles),
+                             (self._occupancy, occupancy)):
+            for name, value in counts.items():
+                counts[name] = value + (value - base[name]) * times
+        self.samples += (self.samples - samples) * times
 
     def _classify(self, pipe: "Pipeline", committed: bool) -> str:
         if committed:

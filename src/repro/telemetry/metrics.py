@@ -187,6 +187,21 @@ class MetricsRegistry:
             metric = self._metrics[name] = GaugeMetric(name)
         metric.value = value
 
+    # bulk path (idle-cycle skipping, see Pipeline._skip_quiet): a quiet
+    # cycle only ever bumps counters
+    def tally(self) -> Dict[str, float]:
+        """Every counter's value, for :meth:`replay`."""
+        return {name: metric.value for name, metric in self._metrics.items()
+                if metric.kind == "counter"}
+
+    def replay(self, before: Dict[str, float], times: int) -> None:
+        """Charge ``times`` more repeats of every counter change since
+        ``before`` was tallied."""
+        for name, value in self.tally().items():
+            delta = value - before.get(name, 0)
+            if delta:
+                self._metrics[name].value = value + delta * times
+
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -210,8 +225,9 @@ class MetricsRegistry:
 class IntervalSampler:
     """Every-N-cycles time-series snapshots of a running pipeline.
 
-    The pipeline calls :meth:`tick` once per cycle (after the cycle
-    counter advances) and :meth:`finalize` after the run loop, which
+    The pipeline calls :meth:`tick` after every clock advance — one
+    cycle, or a skipped quiet stretch that never jumps past :attr:`due`
+    — and :meth:`finalize` after the run loop, which
     takes one tail sample covering the final partial interval — unless
     the run ended exactly on a boundary, in which case the series is
     already complete.  Samples are plain dicts (see :meth:`_take`).
@@ -227,6 +243,11 @@ class IntervalSampler:
         self._prev = {"committed": 0, "issued": 0, "fetched": 0}
         self._prev_stalls: Dict[str, int] = {}
         self._prev_sched: Dict[str, float] = {}
+
+    @property
+    def due(self) -> int:
+        """The grid point of the next periodic sample."""
+        return self._next
 
     def tick(self, pipe: "Pipeline") -> None:
         if pipe.cycle >= self._next:

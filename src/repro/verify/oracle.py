@@ -20,6 +20,14 @@ per-cycle invariant checker enabled (see
 :mod:`repro.verify.invariants`) and a stall-attribution engine attached,
 so bookkeeping violations surface even when the architectural results
 happen to match.
+
+3. **Timing differential**: the run's whole ``SimResult.to_dict()``
+   and metrics snapshot must equal those of a
+   :class:`~repro.verify.reference.ReferencePipeline`, which simulates
+   every cycle.  Both carry attribution, metrics and an interval
+   sampler, so every fast path in the core loop (idle-cycle skipping
+   and its bulk accounting) is checked field by field on random
+   programs; a mismatch is a ``timing`` failure naming the field.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from ..core.pipeline import Pipeline, SimulationDeadlock
 from ..isa.instruction import DynOp
 from ..isa.registers import NUM_ARCH_REGS, ZERO, reg_name
 from ..telemetry.attribution import StallAttribution
+from ..telemetry.metrics import IntervalSampler, MetricsRegistry
 from ..workloads.executor import (
     ExecutionLimitExceeded,
     FunctionalExecutor,
@@ -41,10 +50,15 @@ from ..workloads.executor import (
 from ..workloads.program import Program
 from .genprog import SpecItem, assemble
 from .invariants import InvariantViolation
+from .reference import ReferencePipeline, first_difference
 
 #: Dynamic micro-op budget per generated program (a shrunken variant
 #: that loses its loop-counter init must be rejected, not simulated).
 DEFAULT_MAX_OPS = 50_000
+
+#: Interval-sampler grid of the timing differential (a prime, so the
+#: grid points fall at every phase of a program's loops).
+TIMING_SAMPLE_INTERVAL = 97
 
 
 @dataclass
@@ -52,7 +66,8 @@ class Failure:
     """One oracle failure for one (program, arch) cell."""
 
     arch: str
-    kind: str  # commit_stream | arch_state | invariant | deadlock | crash
+    #: commit_stream | arch_state | invariant | deadlock | crash | timing
+    kind: str
     detail: str
 
     def __str__(self) -> str:
@@ -207,12 +222,16 @@ def check_arch(
     max_cycles: int = 5_000_000,
 ) -> Optional[Failure]:
     """Run one scheduler config against the reference; None when clean."""
+    config = config_for(arch, width)
+    metrics = MetricsRegistry()
     pipe = Pipeline(
         trace,
-        config_for(arch, width),
+        config,
         check_invariants=check_invariants,
         record_commits=True,
         attribution=StallAttribution(),
+        metrics=metrics,
+        sampler=IntervalSampler(TIMING_SAMPLE_INTERVAL),
     )
     try:
         result = pipe.run(max_cycles=max_cycles)
@@ -246,6 +265,33 @@ def check_arch(
     diff = _diff_state(ref_regs, ref_mem, got_regs, got_mem)
     if diff is not None:
         return Failure(arch=arch, kind="arch_state", detail=diff)
+    return _check_timing(arch, trace, config, result, metrics, max_cycles)
+
+
+def _check_timing(arch: str, trace, config, result,
+                  metrics: MetricsRegistry,
+                  max_cycles: int) -> Optional[Failure]:
+    """Compare a finished run field by field with the per-cycle loop."""
+    reference_metrics = MetricsRegistry()
+    reference = ReferencePipeline(
+        trace, config, attribution=StallAttribution(),
+        metrics=reference_metrics,
+        sampler=IntervalSampler(TIMING_SAMPLE_INTERVAL),
+    )
+    try:
+        expected = reference.run(max_cycles=max_cycles)
+    except Exception as exc:  # noqa: BLE001 - the fast run finished
+        return Failure(
+            arch=arch, kind="timing",
+            detail=f"the per-cycle reference run failed: "
+                   f"{type(exc).__name__}: {exc}",
+        )
+    diff = first_difference(
+        {"result": expected.to_dict(), "metrics": reference_metrics.snapshot()},
+        {"result": result.to_dict(), "metrics": metrics.snapshot()},
+    )
+    if diff is not None:
+        return Failure(arch=arch, kind="timing", detail=diff)
     return None
 
 

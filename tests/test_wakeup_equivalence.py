@@ -11,6 +11,11 @@ scheduler fixes (stale steering reservations, shared P-IQ collapse
 remap, ideal-sharing capacity — see docs/correctness.md): those fixes
 legitimately change steering timing, so cycle counts moved by a few
 cycles on 10 of 84 cells while committed/issued stayed identical.
+
+Each cell also checks the sha256 of its whole ``SimResult.to_dict()``
+against ``tests/golden_digests.json`` (see ``golden_cases.py``), bare
+and with every per-cycle telemetry consumer attached, so a fast path
+that keeps the four pinned fields but moves any other counter fails.
 """
 
 import json
@@ -26,8 +31,13 @@ from repro.isa.instruction import DynOp
 from repro.isa.opcodes import opcode
 from repro.workloads.suite import get_trace
 
+from golden_cases import digest, telemetry_payload
+
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text()
+)
+DIGESTS = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text()
 )
 
 
@@ -42,6 +52,13 @@ def test_matches_polling_golden_stats(cell):
     assert result.stats.issued == expect["issued"], cell
     # golden IPC was rounded to 6 decimals when captured
     assert round(result.ipc, 6) == pytest.approx(expect["ipc"]), cell
+    assert digest(result.to_dict()) == DIGESTS["plain"][cell], cell
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN["results"]))
+def test_telemetry_run_matches_golden_digest(cell):
+    """Attribution, metrics and interval samples: every field, every cell."""
+    assert digest(telemetry_payload(cell)) == DIGESTS["telemetry"][cell], cell
 
 
 @pytest.mark.parametrize("arch", ["ooo", "ballerino", "dnb", "fxa", "spq"])
