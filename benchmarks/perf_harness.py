@@ -1,11 +1,10 @@
 """Wall-clock performance harness for the simulator and experiment runner.
 
-Times a small suite matrix under the experiment runner in five phases —
-trace construction, serial cold run, lock-step sweep (same matrix, one
-interleaved pass per workload group), parallel cold run, fully-cached
-warm run — plus a single-simulation microbenchmark, and writes the
-numbers to a JSON file (``--out``, or ``$REPRO_BENCH_OUT``, default
-``BENCH.json``)::
+Times a small suite matrix under the experiment runner in four phases —
+trace construction, serial cold run, parallel cold run, fully-cached
+warm run — plus single-simulation and sampled-tier microbenchmarks, and
+writes the numbers to a JSON file (``--out``, or ``$REPRO_BENCH_OUT``,
+default ``BENCH.json``)::
 
     PYTHONPATH=src python benchmarks/perf_harness.py --smoke
     PYTHONPATH=src python benchmarks/perf_harness.py --jobs 8 --ops 20000
@@ -108,13 +107,10 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
 
     single_core = (os.cpu_count() or 1) == 1
 
-    # 1) serial cold: one cell at a time, lock-step tier OFF, so this
-    #    phase stays comparable with snapshots taken before the tier
-    #    existed and gives lockstep_sweep an honest baseline
+    # 1) serial cold: one cell at a time, empty result cache
     with tempfile.TemporaryDirectory() as cold_dir:
         runner = ExperimentRunner(target_ops=ops, cache_dir=cold_dir)
-        seconds, _ = _phase(
-            lambda: runner.run_many(tasks, jobs=1, lockstep=False))
+        seconds, _ = _phase(lambda: runner.run_many(tasks, jobs=1))
         record("serial_cold", seconds, runner)
         if single_core:
             # 3) warm phase runs off the serial cache instead (below, it
@@ -149,20 +145,6 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
         report["parallel_speedup"] = (
             round(serial / parallel, 2) if parallel else None)
 
-    # 3b) lock-step sweep: same matrix, cold cache, but cells grouped by
-    #     workload and advanced in one pass per group (repro.core.lockstep)
-    with tempfile.TemporaryDirectory() as lockstep_dir:
-        runner = ExperimentRunner(target_ops=ops, cache_dir=lockstep_dir)
-        seconds, _ = _phase(
-            lambda: runner.run_many(tasks, jobs=1, lockstep=True))
-        record("lockstep_sweep", seconds, runner)
-        report["phases"]["lockstep_sweep"]["lockstep_groups"] = (
-            runner.lockstep_groups)
-    serial = report["phases"]["serial_cold"]["seconds"]
-    lockstep = report["phases"]["lockstep_sweep"]["seconds"]
-    report["lockstep_speedup"] = (
-        round(serial / lockstep, 2) if lockstep else None)
-
     # 4) single-simulation microbench (the event-driven wakeup fast path)
     trace = get_trace(workloads[0], ops, 7)
     for arch in ("ooo", "ballerino"):
@@ -183,8 +165,7 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
     ]
     with tempfile.TemporaryDirectory() as sampled_dir:
         runner = ExperimentRunner(target_ops=ops, cache_dir=sampled_dir)
-        seconds, _ = _phase(
-            lambda: runner.run_many(sampled_tasks, jobs=1, lockstep=False))
+        seconds, _ = _phase(lambda: runner.run_many(sampled_tasks, jobs=1))
         record("sampled_sweep", seconds, runner)
 
     # 6) sampled speedup: one long trace, full-detail vs sampled — the
@@ -240,9 +221,6 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     print(f"  serial cold    {phases['serial_cold']['seconds']:8.2f}s "
           f"({phases['serial_cold']['sims_per_sec']} sims/s)")
-    print(f"  lockstep sweep {phases['lockstep_sweep']['seconds']:8.2f}s "
-          f"({phases['lockstep_sweep']['lockstep_groups']} groups, "
-          f"speedup {report['lockstep_speedup']}x)")
     if "skipped" in phases["parallel_cold"]:
         print(f"  parallel cold  skipped: {phases['parallel_cold']['skipped']}")
     else:

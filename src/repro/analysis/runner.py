@@ -30,13 +30,6 @@ Environment knobs:
 * ``REPRO_BENCH_TIMEOUT`` — per-task wall-clock timeout in seconds
   (default 0 = no timeout).
 * ``REPRO_BENCH_RETRIES`` — attempts after the first failure (default 2).
-* ``REPRO_LOCKSTEP`` — "0" disables the lock-step batching tier (default
-  on): serial batches group uncached cells by (workload, seed) and run
-  each group's configs through :func:`repro.core.lockstep.run_lockstep`,
-  decoding the shared trace once and advancing all pipelines in one
-  pass.  Results are bit-identical to per-cell execution (the golden
-  equivalence test pins this); the knob exists for A/B measurement and
-  as an escape hatch.
 * ``REPRO_RUN_LOG`` — path of a JSONL campaign run-log (see
   :mod:`repro.telemetry.runlog`); empty/unset disables it.
 * ``REPRO_SPANS`` — path of a spans-JSONL trace file (see
@@ -47,6 +40,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -58,7 +52,6 @@ from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import CoreConfig, config_for
-from ..core.lockstep import run_lockstep
 from ..core.pipeline import SimulationDeadlock, simulate
 from ..core.stats import RESULT_SCHEMA_VERSION, SimResult
 from ..telemetry.metrics import MetricsRegistry
@@ -71,7 +64,6 @@ DEFAULT_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 DEFAULT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 DEFAULT_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "0"))
 DEFAULT_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "2"))
-DEFAULT_LOCKSTEP = os.environ.get("REPRO_LOCKSTEP", "1") != "0"
 
 #: Base delay (seconds) for the exponential pool-respawn backoff.
 BACKOFF_BASE = 0.1
@@ -197,8 +189,6 @@ class ExperimentRunner:
         cache_dir: On-disk result cache ("" disables it; ``None`` uses
             ``$REPRO_BENCH_CACHE`` or the repo-local ``.bench_cache``).
         jobs: Default worker count for :meth:`run_many`.
-        lockstep: Whether serial batches use the lock-step multi-config
-            tier (``None`` reads ``$REPRO_LOCKSTEP``, default on).
         task_timeout: Per-task wall-clock timeout (seconds) for parallel
             batches; ``None``/0 disables it.
         retries: Extra attempts a failing cell gets before quarantine.
@@ -227,7 +217,6 @@ class ExperimentRunner:
         seed: int = DEFAULT_SEED,
         cache_dir: Optional[str] = None,
         jobs: Optional[int] = None,
-        lockstep: Optional[bool] = None,
         task_timeout: Optional[float] = None,
         retries: Optional[int] = None,
         run_log: Optional[str] = None,
@@ -240,7 +229,6 @@ class ExperimentRunner:
         self.target_ops = target_ops
         self.seed = seed
         self.jobs = max(1, DEFAULT_JOBS if jobs is None else jobs)
-        self.lockstep = DEFAULT_LOCKSTEP if lockstep is None else lockstep
         self.task_timeout = (
             (DEFAULT_TIMEOUT or None) if task_timeout is None
             else (task_timeout or None)
@@ -268,8 +256,6 @@ class ExperimentRunner:
         self.retries_performed = 0
         self.timeouts = 0
         self.pool_restarts = 0
-        #: lock-step groups executed (each covers >= 2 cells in one pass)
-        self.lockstep_groups = 0
         if run_log is None:
             run_log = os.environ.get("REPRO_RUN_LOG", "")
         self.run_log: Optional[RunLog] = RunLog(run_log) if run_log else None
@@ -490,8 +476,7 @@ class ExperimentRunner:
         started = time.perf_counter()
         trace = get_trace(workload, self.target_ops, seed)
         result = simulate(trace, config)
-        self.simulations_run += 1
-        self._store(key, result)
+        self._finish(key, result)
         self._log("finish", key=key, workload=workload, config=config.name,
                   seed=seed, attempt=0,
                   seconds=round(time.perf_counter() - started, 6),
@@ -548,7 +533,6 @@ class ExperimentRunner:
     def run_many(self, tasks: Sequence[Task], jobs: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
-                 lockstep: Optional[bool] = None,
                  trace: Optional[SpanContext] = None,
                  ) -> List[Union[SimResult, FailedResult]]:
         """Run (or fetch) a batch of simulations, results in task order.
@@ -570,15 +554,8 @@ class ExperimentRunner:
         :attr:`failures`.  ``KeyboardInterrupt`` aborts the batch but
         every already-finished cell stays merged in the cache.
 
-        On the serial path (``jobs == 1``), uncached cells sharing a
-        (workload, seed) run as one **lock-step group**: the trace is
-        decoded once and every config's pipeline advances cycle-by-cycle
-        in a single pass (see :mod:`repro.core.lockstep`).  Results are
-        bit-identical to per-cell execution; ``lockstep=False`` opts a
-        batch out (e.g. for A/B throughput measurement).
-
-        ``jobs`` / ``timeout`` / ``retries`` / ``lockstep`` default to
-        the runner's constructor values.  ``trace`` names the parent
+        ``jobs`` / ``timeout`` / ``retries`` default to the runner's
+        constructor values.  ``trace`` names the parent
         span context for this batch (overriding the runner-level
         ``trace_ctx``): with a recorder attached, cell spans parent
         directly under it; with neither, a traced batch opens its own
@@ -593,7 +570,6 @@ class ExperimentRunner:
         jobs = self.jobs if jobs is None else max(1, jobs)
         timeout = self.task_timeout if timeout is None else (timeout or None)
         retries = self.retries if retries is None else max(0, retries)
-        lockstep = self.lockstep if lockstep is None else lockstep
 
         recorder = self.spans
         previous_parent = self._trace_parent
@@ -644,7 +620,7 @@ class ExperimentRunner:
             if parallel:
                 self._run_parallel(pending, jobs, timeout, retries)
             elif pending:
-                self._run_serial(pending, retries, lockstep)
+                self._run_serial(pending, retries)
             self._log("campaign_end",
                       seconds=round(time.perf_counter() - campaign_started,
                                     6),
@@ -679,21 +655,20 @@ class ExperimentRunner:
         self._store(key, result)
 
     def _run_serial(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                    retries: int, lockstep: bool = True) -> None:
+                    retries: int) -> None:
         """In-process fallback with the same retry/quarantine semantics.
 
-        With ``lockstep`` (the default), cells sharing a (workload,
-        seed) first go through the lock-step tier as a shared-trace
-        group; whatever that tier could not finish — singleton groups,
-        cells whose pipeline raised a transient error — falls through
-        to the per-cell retry loop below.
+        Each cell runs on its own — ``get_trace`` → ``simulate`` →
+        :meth:`_finish` — so its span and run-log record carry its own
+        timing.  With a span recorder attached, the decode and simulate
+        steps run inside ``trace_decode`` / ``simulate`` child spans of
+        the cell, and a sampled run adds a ``sim.*`` span per phase;
+        without one, the same steps run bare.
 
         ``KeyboardInterrupt`` propagates immediately — every cell
         finished before it is already merged into the cache by
         :meth:`_finish`, so an interrupted campaign resumes where it
         stopped."""
-        if lockstep and len(pending) > 1:
-            pending = self._run_lockstep_tier(pending)
         total = len(pending)
         recorder, parent = self.spans, self._trace_parent
         for done, (key, (workload, config, seed)) in enumerate(pending.items()):
@@ -710,19 +685,13 @@ class ExperimentRunner:
                           **self._cell_trace(key))
                 started = time.perf_counter()
                 try:
-                    if cell_span is not None:
-                        with recorder.span("trace_decode",
-                                           parent=cell_span):
-                            trace = get_trace(workload, self.target_ops,
-                                              seed)
-                        hook = _phase_span_hook(recorder, cell_span)
-                        with recorder.span("simulate", parent=cell_span):
-                            result = simulate(trace, config,
-                                              phase_hook=hook)
-                        self._finish(key, result)
-                    else:
+                    with self._cell_step(cell_span, "trace_decode"):
                         trace = get_trace(workload, self.target_ops, seed)
-                        self._finish(key, simulate(trace, config))
+                    hook = (None if cell_span is None
+                            else _phase_span_hook(recorder, cell_span))
+                    with self._cell_step(cell_span, "simulate"):
+                        result = simulate(trace, config, phase_hook=hook)
+                    self._finish(key, result)
                     self._log("finish", key=key, workload=workload,
                               config=config.name, seed=seed, attempt=attempt,
                               seconds=round(time.perf_counter() - started, 6),
@@ -748,99 +717,11 @@ class ExperimentRunner:
                     break
             self._heartbeat(done + 1, total, 0, total - done - 1)
 
-    def _run_lockstep_tier(
-        self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-    ) -> Dict[str, Tuple[str, CoreConfig, int]]:
-        """Run multi-config (workload, seed) groups in lock-step.
-
-        Each group decodes its trace once and advances every config's
-        pipeline in a single pass (:func:`repro.core.lockstep.
-        run_lockstep`).  Completed cells merge through :meth:`_finish`
-        exactly like per-cell runs; a deadlocked cell is quarantined
-        immediately (deadlocks are deterministic — rerunning the same
-        trace/config serially would deadlock again); any other
-        per-pipeline failure is charged one retry and handed back to
-        the per-cell loop.  Returns the cells still owed a result.
-
-        A failure *outside* the per-pipeline boundary (the trace
-        decoder raised, the driver itself failed) leaves the whole
-        group untouched for the per-cell path, which reproduces and
-        classifies the error with its own retry budget.
-        """
-        groups: Dict[Tuple[str, int], List[str]] = {}
-        for key, (workload, _config, seed) in pending.items():
-            groups.setdefault((workload, seed), []).append(key)
-        remaining = dict(pending)
-        for (workload, seed), group_keys in groups.items():
-            if len(group_keys) < 2:
-                continue  # no shared work to batch
-            configs = [pending[key][1] for key in group_keys]
-            for key, config in zip(group_keys, configs):
-                self._log("start", key=key, workload=workload,
-                          config=config.name, seed=seed, attempt=0,
-                          **self._cell_trace(key))
-            started = time.perf_counter()
-            group_start_t = time.time()
-            try:
-                trace = get_trace(workload, self.target_ops, seed)
-                outcomes = run_lockstep(trace, configs)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                self._log("lockstep", workload=workload, seed=seed,
-                          cells=len(group_keys), completed=0,
-                          seconds=round(time.perf_counter() - started, 6))
-                self._log("retry", key=group_keys[0], attempt=1,
-                          kind="error", error=f"{type(exc).__name__}: {exc}",
-                          **self._cell_trace(group_keys[0]))
-                continue
-            seconds = time.perf_counter() - started
-            cell_seconds = round(seconds / len(group_keys), 6)
-            completed = 0
-            recorder, parent = self.spans, self._trace_parent
-            group_end_t = time.time()
-            for key, config, outcome in zip(group_keys, configs, outcomes):
-                if isinstance(outcome, SimResult):
-                    self._finish(key, outcome)
-                    self._log("finish", key=key, workload=workload,
-                              config=config.name, seed=seed, attempt=0,
-                              seconds=cell_seconds, worker=os.getpid(),
-                              **self._cell_trace(key))
-                    if recorder is not None and parent is not None:
-                        # the group ran all cells in one pass; each cell
-                        # span carries the shared wall-clock bracket
-                        recorder.record(
-                            "cell", parent=parent, start_t=group_start_t,
-                            end_t=group_end_t,
-                            span_id=derive_span_id(parent.trace_id,
-                                                   "cell", key),
-                            workload=workload, config=config.name,
-                            seed=seed, lockstep=True)
-                    del remaining[key]
-                    completed += 1
-                elif isinstance(outcome, SimulationDeadlock):
-                    kind, error, snapshot = self._classify_failure(outcome)
-                    self._quarantine(key, (workload, config, seed), kind,
-                                     error, 1, snapshot)
-                    del remaining[key]
-                else:  # transient failure: one attempt charged, fall back
-                    self.retries_performed += 1
-                    self._log("retry", key=key, attempt=1, kind="error",
-                              error=f"{type(outcome).__name__}: {outcome}",
-                              **self._cell_trace(key))
-            if recorder is not None and parent is not None:
-                recorder.record(
-                    "lockstep_group", parent=parent,
-                    start_t=group_start_t, end_t=group_end_t,
-                    workload=workload, seed=seed,
-                    cells=len(group_keys), completed=completed)
-            self.lockstep_groups += 1
-            if self.metrics is not None:
-                self.metrics.count("runner.lockstep_groups")
-            self._log("lockstep", workload=workload, seed=seed,
-                      cells=len(group_keys), completed=completed,
-                      seconds=round(seconds, 6))
-        return remaining
+    def _cell_step(self, cell_span, name: str):
+        """A ``name`` child span of ``cell_span``; a null context untraced."""
+        if cell_span is None:
+            return contextlib.nullcontext()
+        return self.spans.span(name, parent=cell_span)
 
     def _run_parallel(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
                       jobs: int, timeout: Optional[float],

@@ -8,7 +8,6 @@ from .config import (
     config_for,
 )
 from .ifop import InFlightOp
-from .lockstep import run_lockstep
 from .optable import OpTable
 from .pipeline import DeadlockError, Pipeline, SimulationDeadlock, simulate
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
@@ -17,7 +16,6 @@ from .rob import ReorderBuffer
 from .sampling import (
     FastForward,
     SampledSimulation,
-    build_simulation,
     simulate_sampled,
     with_sampling,
 )
@@ -31,7 +29,6 @@ __all__ = [
     "config_for",
     "InFlightOp",
     "OpTable",
-    "run_lockstep",
     "DeadlockError",
     "Pipeline",
     "SimulationDeadlock",
@@ -42,7 +39,6 @@ __all__ = [
     "ReorderBuffer",
     "FastForward",
     "SampledSimulation",
-    "build_simulation",
     "simulate_sampled",
     "with_sampling",
     "DelayBreakdown",

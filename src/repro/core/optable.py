@@ -29,31 +29,12 @@ queue, the wakeup scoreboard's consumer buckets, the OoO scheduler's
 incremental ready-set) capture ``(view, view.gen)`` pairs and treat a
 generation mismatch as "stale", which is exactly what object identity
 used to mean.
-
-numpy acceleration (optional)
------------------------------
-When numpy is importable (and not disabled via ``REPRO_SOA_NUMPY=0``)
-the numeric columns can be exposed zero-copy as ndarrays for bulk
-analytics — see :meth:`OpTable.numpy_columns` and
-:meth:`OpTable.summary`.  numpy is never required: every consumer has a
-pure-stdlib fallback, and per-element access always goes through the
-stdlib ``array`` columns (scalar indexing of ndarrays is *slower* in
-CPython).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional
-
-try:  # optional acceleration for bulk/aggregate queries only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
-#: Feature flag: numpy-backed bulk queries ("0" forces the stdlib path).
-NUMPY_ENABLED = _np is not None and os.environ.get("REPRO_SOA_NUMPY", "1") != "0"
 
 #: signed 64-bit integer columns and their reset values
 _INT_COLS = (
@@ -227,42 +208,13 @@ class OpTable:
         live = self.live
         return [slot for slot in range(self.capacity) if live[slot]]
 
-    def numpy_columns(self) -> Optional[Dict[str, "object"]]:
-        """Zero-copy ndarray views of the numeric columns (or ``None``).
-
-        Only available when numpy is importable and ``REPRO_SOA_NUMPY``
-        is not ``0``; mutating the returned arrays mutates the table.
-        """
-        if not NUMPY_ENABLED:
-            return None
-        cols = {name: _np.frombuffer(getattr(self, name), dtype=_np.int64)
-                for name, _ in _INT_COLS}
-        for name in _FLAG_COLS:
-            cols[name] = _np.frombuffer(getattr(self, name), dtype=_np.int8)
-        cols["gen"] = _np.frombuffer(self.gen, dtype=_np.int64)
-        return cols
-
     def summary(self) -> Dict[str, int]:
         """Aggregate occupancy counts over the live rows.
 
-        Uses the numpy fast path when enabled; the stdlib fallback is
-        exact but linear in table capacity.  Consumed by the deadlock
-        snapshot (:mod:`repro.telemetry.snapshot`) so post-mortems show
-        the op-table picture alongside the per-queue view.
+        Linear in table capacity.  Consumed by the deadlock snapshot
+        (:mod:`repro.telemetry.snapshot`) so post-mortems show the
+        op-table picture alongside the per-queue view.
         """
-        if NUMPY_ENABLED:
-            cols = self.numpy_columns()
-            live = cols["live"].astype(bool)
-            return {
-                "capacity": self.capacity,
-                "live": int(live.sum()),
-                "issued": int((cols["issued"].astype(bool) & live).sum()),
-                "completed": int((cols["completed"].astype(bool) & live).sum()),
-                "waiting_sources": int(((cols["wake_pending"] > 0)
-                                        & live).sum()),
-                "waiting_mdp": int((cols["mdp_waiting"].astype(bool)
-                                    & live).sum()),
-            }
         live = self.live
         issued = self.issued
         completed = self.completed

@@ -267,9 +267,8 @@ class Pipeline:
               start_cycle: int = 0) -> None:
         """Arm the per-run bookkeeping so :meth:`step` can be called.
 
-        Split out of :meth:`run` so external drivers — notably the
-        lock-step multi-config runner (:mod:`repro.core.lockstep`) and
-        the sampled driver — can interleave the steps of many pipelines
+        Split out of :meth:`run` so external drivers — the sampled
+        driver, per-layer profilers — can step a pipeline themselves
         (a step is one cycle or one skipped quiet stretch).  ``run()``
         is exactly ``begin()``; ``while step(): pass``; ``finalize()``.
 

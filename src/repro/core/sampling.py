@@ -13,10 +13,9 @@ become affordable (ROADMAP item 2):
   learns from order violations, which are a timing phenomenon — it is
   warmed by the detailed windows and *carried* across the gaps).
 * :class:`SampledSimulation` alternates fast-forward / detailed-warmup /
-  measured windows.  It exposes the same ``begin()/step()/finalize()``
-  phase machine as :class:`~repro.core.pipeline.Pipeline`, so the
-  lock-step driver (:mod:`repro.core.lockstep`) can interleave sampled
-  simulations exactly like full ones.  Each window runs a fresh
+  measured windows through a ``begin()/step()/finalize()`` phase
+  machine, the same three calls it uses to drive each window's
+  :class:`~repro.core.pipeline.Pipeline`.  Each window runs a fresh
   pipeline over a seq-renumbered subtrace but *shares* the warmed
   front end / hierarchy / MDP and continues the global clock
   (``Pipeline.begin(start_cycle=...)``) so absolute-cycle cache state
@@ -128,9 +127,9 @@ class FastForward:
     reached), TAGE/BTB predict+resolve per branch, and the LFST
     dispatch/issue handshake per store so no stale inter-window store
     seq survives.  With ``ff_warmup_ops > 0`` only the *last* N ops of
-    each requested advance are warmed; the earlier ops are skipped at
-    zero cost (indices and clock still advance), trading cold-miss
-    accuracy for gap-length-independent cost.
+    each gap are warmed; the earlier ops are skipped at zero cost
+    (indices and clock still advance), trading cold-miss accuracy for
+    gap-length-independent cost.
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
@@ -232,20 +231,14 @@ def _delta_map(end: Dict, base: Dict) -> Dict:
     return {k: v - base.get(k, 0) for k, v in end.items()}
 
 
-#: Fast-forward work per :meth:`SampledSimulation.step` call, in µops —
-#: bounds how long a lock-step sibling waits while this sim skips a gap.
-_FF_CHUNK_OPS = 4096
-
-
 class SampledSimulation:
     """Periodic-sampling driver with the Pipeline phase-machine API.
 
     ``begin(max_cycles)`` / ``step() -> bool`` / ``finalize() ->
-    SimResult`` mirror :class:`~repro.core.pipeline.Pipeline`, so
-    :func:`~repro.core.lockstep.run_lockstep` drives sampled and full
-    simulations interchangeably.  One ``step()`` advances either one
-    detailed step of the current window pipeline (a cycle or a skipped
-    quiet stretch) or one bounded chunk of fast-forward.
+    SimResult`` mirror :class:`~repro.core.pipeline.Pipeline`.  One
+    ``step()`` advances either one detailed step of the current window
+    pipeline (a cycle or a skipped quiet stretch) or one whole
+    fast-forward gap.
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
@@ -285,7 +278,6 @@ class SampledSimulation:
         self._phase = "idle"
         self._cursor = 0  # trace ops consumed (committed or skipped)
         self._next_start = 0  # where the next measured window begins
-        self._gap_remaining = 0
         self._ff_dirty = False  # hierarchy timing skewed by fast-forward
 
     # -- phase machine -------------------------------------------------
@@ -314,17 +306,15 @@ class SampledSimulation:
         if phase == "done":
             return False
         if phase == "ff":
-            chunk = min(self._gap_remaining, _FF_CHUNK_OPS)
-            self.cycle = self.ff.advance(chunk, self.cycle)
+            gap = min(self._next_start, len(self.trace)) - self._cursor
+            self.cycle = self.ff.advance(gap, self.cycle)
             self._ff_dirty = True
-            self._cursor += chunk
-            self._gap_remaining -= chunk
+            self._cursor += gap
             if self.cycle > self._max_cycles:
                 raise SimulationDeadlock(
                     f"{self.config.name}/{self.trace.name}: max_cycles "
                     f"({self._max_cycles}) exceeded during fast-forward")
-            if self._gap_remaining <= 0:
-                self._advance_phase()
+            self._advance_phase()
             return self._phase != "done"
         pipe = self._pipe
         alive = pipe.step()
@@ -359,7 +349,6 @@ class SampledSimulation:
             self._set_phase("done")
             return
         if self._cursor < self._next_start:
-            self._gap_remaining = min(self._next_start, total) - self._cursor
             self._set_phase("ff")
             return
         self._start_window()
@@ -582,19 +571,6 @@ class SampledSimulation:
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
         half = _t95(n - 1) * math.sqrt(var / n)
         return {"mean": mean, "ci95": half, "n": n}
-
-
-def build_simulation(trace: Trace, config: CoreConfig):
-    """Factory for drivers that handle full and sampled runs uniformly.
-
-    Returns a :class:`~repro.core.pipeline.Pipeline` or a
-    :class:`SampledSimulation` — both expose ``begin/step/finalize`` —
-    according to ``config.sample_period``.  This is the lock-step
-    driver's default pipeline factory.
-    """
-    if config.sample_period > 0:
-        return SampledSimulation(trace, config)
-    return Pipeline(trace, config)
 
 
 def simulate_sampled(trace: Trace, config: CoreConfig,

@@ -19,14 +19,8 @@ Dispatch priority (per worker, every time it frees up):
 3. a buffered **batch** shard;
 4. a newly queued **batch** job.
 
-Below the thread pool sits the **lock-step batching tier**: a shard's
-cells typically share a (workload, seed) — only the config varies — so
-the runner's serial path groups them and advances every config's
-pipeline over the once-decoded trace in a single pass
-(:mod:`repro.core.lockstep`).  Results are bit-identical to per-cell
-execution; ``lockstep=False`` opts the pool out for A/B measurement.
-Raising ``shard_size`` widens the groups (more configs amortise each
-trace decode); shards still bound the unit of loss.
+A shard is one ``run_many`` call on the worker's runner (cell by cell
+unless ``shard_jobs > 1``), so shards bound the unit of loss.
 
 Gap repair: a shard lost to a crashing worker thread leaves holes in
 its job's sequence space; the failing worker resubmits exactly the
@@ -91,7 +85,6 @@ class WorkerPool:
         repair_limit: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         poll_interval: float = 0.2,
-        lockstep: Optional[bool] = None,
         spans: Optional[SpanRecorder] = None,
     ):
         if shard_size <= 0:
@@ -104,9 +97,6 @@ class WorkerPool:
         self.repair_limit = repair_limit
         self.metrics = metrics
         self.poll_interval = poll_interval
-        #: lock-step batching tier knob, passed through to run_many
-        #: (None defers to the runner / $REPRO_LOCKSTEP)
-        self.lockstep = lockstep
         #: span recorder shared by all workers (thread-safe); each
         #: dispatched job gets a ``job`` span (parented under the
         #: client's submitted trace context when the JobSpec carries
@@ -170,11 +160,6 @@ class WorkerPool:
     @property
     def quarantined_cells(self) -> int:
         return sum(len(runner.quarantined) for runner in self._runners)
-
-    @property
-    def lockstep_groups(self) -> int:
-        """Lock-step groups executed across every worker's runner."""
-        return sum(runner.lockstep_groups for runner in self._runners)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -256,9 +241,7 @@ class WorkerPool:
                 (workload, with_sampling(config, **sampling), seed)
                 for workload, config, seed in tasks
             ]
-        # Forward the lock-step knob only when explicitly set; otherwise
-        # the runner's own default (REPRO_LOCKSTEP) governs.
-        extra = {} if self.lockstep is None else {"lockstep": self.lockstep}
+        extra = {}
         run = shard.run
         shard_span = None
         cell_traces: Dict[int, Dict[str, str]] = {}

@@ -41,10 +41,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # cache health: a corrupt / unreadable / zero-byte disk-cache entry
     # was tolerated (treated as a miss) — see ExperimentRunner._load_disk
     "cache_warning": ("reason", "count"),
-    # one lock-step group advanced N configs over a shared trace in a
-    # single pass (see repro.core.lockstep); per-cell finish records
-    # still follow, so tailers see the usual task lifecycle
-    "lockstep": ("workload", "seed", "cells", "completed", "seconds"),
     # job-queue / serving lifecycle (repro.serve; see docs/serving.md).
     # The durable queue journal reuses this writer, so replay after a
     # crash goes through the same torn-tail-tolerant read_run_log.

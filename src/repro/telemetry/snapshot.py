@@ -158,8 +158,8 @@ def capture_snapshot(pipe, reason: str = "") -> Dict:
         },
         "lfst": _lfst_state(pipe.mdp) if pipe.mdp is not None else [],
         "pending_events": len(pipe._events),
-        # aggregate over the structure-of-arrays op table (numpy fast
-        # path when available; see repro.core.optable.OpTable.summary)
+        # aggregate over the structure-of-arrays op table (see
+        # repro.core.optable.OpTable.summary)
         "op_table": pipe.ops.summary(),
     }
     if pipe.attribution is not None:

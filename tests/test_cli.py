@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -266,6 +271,18 @@ class TestVersion:
         out = capsys.readouterr().out
         assert out.startswith("repro ")
         assert f"serve protocol {PROTOCOL_VERSION}" in out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """The simulator is stdlib-only: starting the CLI never pays for
+        importing numpy, even where numpy is installed."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestServeCommands:

@@ -167,11 +167,11 @@ def test_keyboard_interrupt_keeps_partial_results(tmp_path, monkeypatch):
     real = runner_mod.simulate
     calls = {"n": 0}
 
-    def flaky(trace, config):
+    def flaky(trace, config, phase_hook=None):
         calls["n"] += 1
         if calls["n"] == 2:
             raise KeyboardInterrupt
-        return real(trace, config)
+        return real(trace, config, phase_hook=phase_hook)
 
     monkeypatch.setattr(runner_mod, "simulate", flaky)
     with pytest.raises(KeyboardInterrupt):

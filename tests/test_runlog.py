@@ -161,7 +161,7 @@ class TestCampaignEvents:
     def test_retry_and_quarantine_events(self, tmp_path, monkeypatch):
         import repro.analysis.runner as runner_mod
 
-        def explode(trace, config):
+        def explode(trace, config, phase_hook=None):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(runner_mod, "simulate", explode)

@@ -11,10 +11,10 @@ The two load-bearing classes answer the acceptance criteria directly:
   extrapolated IPC of every golden-matrix cell stays within 5% of the
   pinned full-run value.
 
-The rest pins determinism, the extrapolation metadata, and that every
-entry point (``simulate`` dispatch, lock-step driver, experiment-runner
-cache, sweeps, the serve protocol + worker pool) carries sampling
-through unchanged.
+The rest pins determinism, the extrapolation metadata, per-gap
+fast-forward warming, and that every entry point (``simulate``
+dispatch, experiment-runner cache, sweeps, the serve protocol + worker
+pool) carries sampling through unchanged.
 """
 
 import json
@@ -25,13 +25,11 @@ import pytest
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import sweep
 from repro.core.config import config_for
-from repro.core.lockstep import run_lockstep
 from repro.core.pipeline import simulate
 from repro.core.sampling import (
     DEFAULT_SAMPLE_PERIOD,
     FastForward,
     SampledSimulation,
-    build_simulation,
     simulate_sampled,
     subtrace,
     with_sampling,
@@ -291,31 +289,6 @@ class TestDispatch:
         result = simulate(trace, config, metrics=MetricsRegistry())
         assert result.sampled is False  # per-cycle hooks need full detail
 
-    def test_build_simulation_picks_driver(self):
-        trace = get_trace("histogram", 500, SEED)
-        from repro.core.pipeline import Pipeline
-
-        assert isinstance(
-            build_simulation(trace, config_for("ooo")), Pipeline)
-        assert isinstance(
-            build_simulation(trace, with_sampling(config_for("ooo"))),
-            SampledSimulation)
-
-
-class TestLockstepMixed:
-    def test_sampled_and_full_interleave_unchanged(self):
-        """One lock-step pass over mixed tiers == each run by itself."""
-        trace = get_trace("histogram", 2000, SEED)
-        full_cfg = config_for("ooo")
-        sampled_cfg = with_sampling(config_for("ooo"), **ACCURACY_KNOBS)
-        outcomes = run_lockstep(trace, [full_cfg, sampled_cfg])
-        for outcome in outcomes:
-            assert not isinstance(outcome, Exception), repr(outcome)
-        assert outcomes[0].to_dict() == simulate(trace, full_cfg).to_dict()
-        assert outcomes[1].to_dict() == simulate(trace, sampled_cfg).to_dict()
-        assert outcomes[0].sampled is False
-        assert outcomes[1].sampled is True
-
 
 # ---------------------------------------------------------------------------
 # fast-forward engine
@@ -358,6 +331,23 @@ class TestFastForward:
         assert ff.index == 1000  # position advanced over the whole gap
         assert ff.ops_skipped == 800 and ff.ops_warmed == 200
         assert clock == 125  # virtual time covers skipped ops too
+
+    def test_ff_warmup_ops_caps_each_gap(self):
+        """The cap warms the last N ops of every gap, however long."""
+        trace = get_trace("stream_triad", 12_000, SEED)
+        config = with_sampling(config_for("ooo"), period=6000, window=500,
+                               ff_warmup_ops=1000)
+        ff_done = []  # cumulative fast-forwarded ops at the end of each gap
+
+        def hook(old_phase, new_phase):
+            if old_phase == "ff":
+                ff_done.append(sim.ff.ops_warmed + sim.ff.ops_skipped)
+
+        sim = SampledSimulation(trace, config, phase_hook=hook)
+        sim.run()
+        gaps = [b - a for a, b in zip([0] + ff_done, ff_done)]
+        assert len(gaps) == 2 and min(gaps) > 4096
+        assert sim.ff.ops_warmed == len(gaps) * config.ff_warmup_ops
 
     def test_settle_quiesces_hierarchy_timing(self):
         """After an FF stretch the hierarchy must be warm but idle."""

@@ -151,6 +151,16 @@ class TestRunnerTracing:
         campaign = roots[0]
         for cell in cells:
             assert cell.parent_id == campaign.span_id
+        # each cell is timed on its own: its own decode and simulate
+        # children, and a wall-clock bracket no other cell shares
+        children = collections.defaultdict(list)
+        for span in spans:
+            children[span.parent_id].append(span.name)
+        for cell in cells:
+            assert sorted(children[cell.span_id]) == [
+                "simulate", "trace_decode"]
+        first, second = sorted(cells, key=lambda s: s.start_t)
+        assert first.end_t <= second.start_t
 
     def test_run_log_stamped_with_trace_ids(self, tmp_path):
         from repro.telemetry.runlog import read_run_log
