@@ -193,8 +193,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trace-format", choices=("chrome", "konata"),
                      default=None, help="trace format (default: by extension)")
     sim.add_argument("--metrics", action="store_true",
-                     help="enable the metrics registry + interval sampler "
-                          "and print their tables (bypasses the cache)")
+                     help="collect the hardware counters + interval "
+                          "time-series and print their tables (bypasses "
+                          "the cache)")
     sim.add_argument("--sample-interval", type=int, default=None,
                      metavar="N",
                      help="cycles between time-series samples "
@@ -548,18 +549,22 @@ def _cmd_configs(args) -> int:
     return 0
 
 
-def _traced_run(workload: str, arch: str, args, metrics=None, sampler=None):
-    """Run one simulation with telemetry on (bypasses the result cache)."""
+def _traced_run(workload: str, arch: str, args, sampler=None):
+    """Run one simulation with telemetry on (bypasses the result cache).
+
+    Returns ``(result, tracer, pipeline)``; the finished pipeline is what
+    :func:`~repro.telemetry.core_metrics` reads.
+    """
     from .core.pipeline import Pipeline
     from .telemetry import StallAttribution, Tracer
     from .workloads.suite import get_trace
 
     cfg = config_for(arch, width=args.width)
     trace = get_trace(workload, args.ops, args.seed)
-    tracer, attribution = Tracer(), StallAttribution()
-    result = Pipeline(trace, cfg, tracer=tracer, attribution=attribution,
-                      metrics=metrics, sampler=sampler).run()
-    return result, tracer, attribution
+    tracer = Tracer()
+    pipe = Pipeline(trace, cfg, tracer=tracer,
+                    attribution=StallAttribution(), sampler=sampler)
+    return pipe.run(), tracer, pipe
 
 
 def _write_trace_file(tracer, path: str, fmt: Optional[str], label: str,
@@ -638,7 +643,7 @@ def _cmd_simulate(args) -> int:
     metrics_on = args.metrics or args.sample_interval is not None
     sampling = _sampling_from_args(args)
     if sampling is not None and (profiling or metrics_on or args.trace_out):
-        # telemetry hooks force full-detail simulation, so a "sampled
+        # telemetry attaches to a full-detail Pipeline, so a "sampled
         # traced run" cannot exist — refuse rather than silently pick one
         print("--sample cannot be combined with --metrics/"
               "--sample-interval/--trace-out/--profile (telemetry "
@@ -646,9 +651,8 @@ def _cmd_simulate(args) -> int:
         return 2
     registry = sampler = None
     if metrics_on:
-        from .telemetry import IntervalSampler, MetricsRegistry
+        from .telemetry import IntervalSampler
 
-        registry = MetricsRegistry()
         sampler = IntervalSampler(args.sample_interval or 1000)
     if sampling is not None:
         from .core.sampling import with_sampling
@@ -658,8 +662,12 @@ def _cmd_simulate(args) -> int:
     elif profiling:
         result = _profiled_simulate(args, cfg)
     elif args.trace_out or metrics_on:
-        result, tracer, _ = _traced_run(args.workload, args.arch, args,
-                                        metrics=registry, sampler=sampler)
+        result, tracer, pipe = _traced_run(args.workload, args.arch, args,
+                                           sampler=sampler)
+        if metrics_on:
+            from .telemetry import core_metrics
+
+            registry = core_metrics(pipe)
         if args.trace_out:
             # write the file before the tables so a closed stdout pipe
             # (e.g. `... | head`) can't lose the trace
@@ -818,12 +826,12 @@ def _cmd_metrics(args) -> int:
     import json
     from pathlib import Path
 
-    from .telemetry import IntervalSampler, MetricsRegistry
+    from .telemetry import IntervalSampler, core_metrics
 
-    registry = MetricsRegistry()
     sampler = IntervalSampler(args.sample_interval)
-    result, tracer, _ = _traced_run(args.workload, args.arch, args,
-                                    metrics=registry, sampler=sampler)
+    result, tracer, pipe = _traced_run(args.workload, args.arch, args,
+                                       sampler=sampler)
+    registry = core_metrics(pipe)
     cfg = config_for(args.arch, width=args.width)
     samples = result.interval_samples
     # write artefacts before the tables so a closed stdout pipe

@@ -42,7 +42,7 @@ from ..memory.cache import LINE_SIZE
 from ..memory.hierarchy import CODE_BASE, MemoryHierarchy
 from ..rename.rename_unit import RenameUnit
 from ..telemetry.attribution import StallAttribution
-from ..telemetry.metrics import IntervalSampler, MetricsRegistry
+from ..telemetry.metrics import IntervalSampler
 from ..telemetry.tracer import Tracer
 from ..workloads.trace import Trace
 from .config import CoreConfig
@@ -67,6 +67,10 @@ _FU_EVENT = {
     OpClass.BRANCH: "fu_branch",
     OpClass.NOP: "fu_int",
 }
+
+#: Why rename or dispatch can block a cycle: the keys of
+#: :attr:`Pipeline.stalls` (``rename`` is a physical-register stall).
+STALLS = ("rob_full", "lq_full", "sq_full", "iq_full", "rename")
 
 
 class SimulationDeadlock(RuntimeError):
@@ -103,11 +107,17 @@ class DeadlockError(SimulationDeadlock):
 class Pipeline:
     """One simulated core executing one trace.
 
+    Hardware-style counters need no hook: :func:`repro.telemetry.
+    core_metrics` reads them from the statistics the pipeline, its
+    scheduler, LSQ, rename unit and ports keep anyway.
+
     Args:
         trace: The dynamic micro-op stream to replay.
         config: Core configuration (see :mod:`repro.core.config`).
         scheduler_factory: ``f(pipeline) -> scheduler``; defaults to building
             the scheduler named by ``config.scheduler.kind``.
+        check_invariants: Run the per-cycle invariant checker (see
+            :mod:`repro.verify.invariants`) after every simulated cycle.
         tracer: Optional :class:`~repro.telemetry.tracer.Tracer` receiving
             per-µop lifecycle events.  Every hook guards on this single
             nullable reference, so the disabled cost is one branch.
@@ -115,10 +125,6 @@ class Pipeline:
             StallAttribution` fed once per simulated cycle (and in bulk
             for a skipped quiet stretch); its totals land on
             ``SimResult.stats.stall_cycles`` / ``.occupancy``.
-        metrics: Optional :class:`~repro.telemetry.metrics.
-            MetricsRegistry` receiving hardware-style event counters
-            from the pipeline, scheduler, LSQ and rename unit (same
-            nullable-reference pattern as the tracer).
         sampler: Optional :class:`~repro.telemetry.metrics.
             IntervalSampler`; its every-N-cycles time-series lands on
             ``SimResult.interval_samples``.
@@ -136,10 +142,8 @@ class Pipeline:
         config: CoreConfig,
         scheduler_factory: Optional[Callable[["Pipeline"], object]] = None,
         check_invariants: bool = False,
-        record_commits: bool = False,
         tracer: Optional[Tracer] = None,
         attribution: Optional[StallAttribution] = None,
-        metrics: Optional[MetricsRegistry] = None,
         sampler: Optional[IntervalSampler] = None,
         frontend: Optional[FrontEnd] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
@@ -149,7 +153,6 @@ class Pipeline:
         self.config = config
         self.tracer = tracer
         self.attribution = attribution
-        self.metrics = metrics
         self.sampler = sampler
         self.hier = (
             hierarchy if hierarchy is not None
@@ -157,11 +160,9 @@ class Pipeline:
         )
         self.frontend = frontend if frontend is not None else FrontEnd()
         self.rename = RenameUnit(config.phys_int, config.phys_fp)
-        self.rename.metrics = metrics
         self.ready = ReadyFile(self.rename.num_phys)
         self.lsu = LoadStoreUnit(config.lq_size, config.sq_size)
         self.lsu.tracer = tracer
-        self.lsu.metrics = metrics
         self.mdp: Optional[StoreSetPredictor] = (
             mdp if mdp is not None
             else (StoreSetPredictor() if config.mdp_enabled else None)
@@ -170,6 +171,10 @@ class Pipeline:
         self.ports = PortFile(PORT_MAPS_BY_WIDTH[config.issue_width])
         self.stats = SimStats()
         self.energy = self.stats.energy_events
+        #: blocked rename or dispatch cycles, by reason (see STALLS)
+        self.stalls: Dict[str, int] = dict.fromkeys(STALLS, 0)
+        #: µops each memory-order-violation squash removed, in order
+        self.squash_depths: List[int] = []
 
         self.cycle = 0
         #: cycle an external driver must see the clock stop at (the
@@ -197,11 +202,7 @@ class Pipeline:
         self._store_issued: Dict[int, int] = {}  # store seq -> issue cycle
         self._taint: Dict[int, int] = {}  # preg -> tainting load seq
 
-        self.check_invariants = check_invariants or config.check_invariants
-        #: committed DynOps in commit order (the differential oracle's
-        #: observable); populated only when record_commits is set.
-        self.record_commits = record_commits
-        self.commit_log: List = []
+        self.check_invariants = check_invariants
 
         if scheduler_factory is None:
             from ..sched import create_scheduler
@@ -289,16 +290,16 @@ class Pipeline:
         self._issued_before = 0
         # idle-cycle skipping: the scheduler's opt-in (0 = every cycle),
         # the marks of the current run of quiet cycles, and every
-        # counter a quiet cycle can charge
+        # count dict a quiet cycle can charge
         self._skip_period = getattr(self.scheduler, "skip_period", 0)
         self._marks: List[_Mark] = []
-        self._ledgers: List = []
+        self._ledgers: List[Dict] = []
         if self._skip_period:
-            self._ledgers = [
-                _Counts(counts) for counts in
-                (self.energy, *self.scheduler.quiet_counters())
-            ] + [hook for hook in (self.attribution, self.metrics)
-                 if hook is not None]
+            self._ledgers = [self.energy, self.stalls,
+                             *self.scheduler.quiet_counters()]
+            if self.attribution is not None:
+                self._ledgers += [self.attribution.cycles,
+                                  self.attribution.occupancy]
 
     def step(self) -> bool:
         """Simulate one cycle, then skip the quiet stretch it proves.
@@ -321,7 +322,7 @@ class Pipeline:
             marks.append(_Mark(
                 self.cycle, self.stats.issued, len(self.dispatch_queue),
                 self.scheduler.quiet_signature(),
-                [ledger.tally() for ledger in self._ledgers],
+                [dict(counts) for counts in self._ledgers],
             ))
         elif marks:
             marks.clear()
@@ -407,8 +408,8 @@ class Pipeline:
         quiet_signature` is back at the value of the mark ``period``
         cycles ago, the whole machine is back in that state, so until
         :meth:`_horizon` every further ``period`` cycles repeat exactly
-        those cycles: the jump charges each ledger that many repeats of
-        its change since the mark.
+        those cycles: the jump charges every count in each ledger that
+        many repeats of its change since the mark.
         """
         marks = self._marks
         if (self.stats.issued != marks[-1].issued
@@ -425,8 +426,11 @@ class Pipeline:
         marks.clear()
         repeats = (self._horizon(mark.cycle) - self.cycle) // period
         if repeats > 0:
-            for ledger, before in zip(self._ledgers, mark.tallies):
-                ledger.replay(before, repeats)
+            for counts, before in zip(self._ledgers, mark.tallies):
+                for name, value in list(counts.items()):
+                    delta = value - before.get(name, 0)
+                    if delta:
+                        counts[name] = value + delta * repeats
             self._advance(repeats * period)
 
     def _horizon(self, since: int) -> int:
@@ -561,7 +565,6 @@ class Pipeline:
         if not completed[entries[0]._i]:
             return
         tracer = self.tracer
-        metrics = self.metrics
         for _ in range(self.config.commit_width):
             if not entries or not completed[entries[0]._i]:
                 return
@@ -587,10 +590,6 @@ class Pipeline:
             self.energy["rob_commit"] += 1
             self._store_issued.pop(seq, None)
             self.inflight.pop(seq, None)
-            if self.record_commits:
-                self.commit_log.append(table.op[slot])
-            if metrics is not None:
-                metrics.count("pipeline.commit_ops")
             self.commit_count += 1
             self.stats.committed += 1
             table.free(ifop)  # recycle the slot (and the view)
@@ -720,6 +719,7 @@ class Pipeline:
         opcode = table.op[slot].opcode
         src_pregs = table.src_pregs[slot]
         self.stats.issued += 1
+        self.ports.issues[table.port[slot]] += 1
         energy = self.energy
         energy["prf_read"] += len(src_pregs)
         energy[_FU_EVENT[opcode.op_class]] += 1
@@ -734,9 +734,6 @@ class Pipeline:
         if dep is not None and dep in self._store_issued:
             ready_at = max(ready_at, self._store_issued[dep])
         table.ready_cycle[slot] = ready_at if ready_at < cycle else cycle
-        if self.metrics is not None:
-            self.metrics.count("pipeline.issue_ops")
-            self.metrics.count(f"pipeline.issue_port.{table.port[slot]}")
         if self.tracer is not None:
             seq = table.seq[slot]
             self.tracer.emit(cycle, seq, "issue", f"port{table.port[slot]}")
@@ -768,8 +765,6 @@ class Pipeline:
             return
         cycle = self.cycle
         dispatched = 0
-        attribution = self.attribution
-        metrics = self.metrics
         table = self.ops
         energy = self.energy
         width = self.config.decode_width
@@ -778,30 +773,18 @@ class Pipeline:
             slot = ifop._i
             if available_at > cycle or self.rob.full:
                 if self.rob.full:
-                    if attribution is not None:
-                        attribution.note_dispatch_block("rob_full")
-                    if metrics is not None:
-                        metrics.count("pipeline.dispatch_block.rob_full")
+                    self._dispatch_blocked("rob_full")
                 return
             is_load = table.is_load[slot]
             is_store = table.is_store[slot]
             if is_load and self.lsu.lq_full():
-                if attribution is not None:
-                    attribution.note_dispatch_block("lq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.lq_full")
+                self._dispatch_blocked("lq_full")
                 return
             if is_store and self.lsu.sq_full():
-                if attribution is not None:
-                    attribution.note_dispatch_block("sq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.sq_full")
+                self._dispatch_blocked("sq_full")
                 return
             if not self.scheduler.can_accept(ifop):
-                if attribution is not None:
-                    attribution.note_dispatch_block("iq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.iq_full")
+                self._dispatch_blocked("iq_full")
                 return
             queue.popleft()
             table.dispatch_cycle[slot] = cycle
@@ -832,9 +815,12 @@ class Pipeline:
             self.scheduler.insert(ifop, cycle)
             energy["dispatch"] += 1
             energy["rob_write"] += 1
-            if metrics is not None:
-                metrics.count("pipeline.dispatch_ops")
             dispatched += 1
+
+    def _dispatch_blocked(self, reason: str) -> None:
+        self.stalls[reason] += 1
+        if self.attribution is not None:
+            self.attribution.note_dispatch_block(reason)
 
     # ==================================================================
     # rename
@@ -887,8 +873,7 @@ class Pipeline:
                 return
             op = table.op[slot]
             if not self.rename.can_rename(op):
-                if self.metrics is not None:
-                    self.metrics.count("pipeline.rename_stall")
+                self.stalls["rename"] += 1
                 return  # stall until physical registers free up
             queue.popleft()
             rename_rec = self.rename.rename(op)
@@ -926,7 +911,6 @@ class Pipeline:
         width = self.config.decode_width
         alloc_queue = self.config.alloc_queue
         tracer = self.tracer
-        metrics = self.metrics
         ops = self.ops
         inflight = self.inflight
         stats = self.stats
@@ -952,8 +936,6 @@ class Pipeline:
                 tracer.emit(cycle, op.seq, "fetch")
             decode_queue.append(ifop)
             energy["fetch"] += 1
-            if metrics is not None:
-                metrics.count("pipeline.fetch_ops")
             self.fetch_index += 1
             stats.fetched += 1
             fetched += 1
@@ -978,8 +960,6 @@ class Pipeline:
         direction_ok = prediction.taken == bool(op.taken)
         if not direction_ok:
             # full misprediction: fetch stops until the branch executes
-            if self.metrics is not None:
-                self.metrics.count("pipeline.branch_mispredicts")
             self.stats.branch_mispredicts += 1
             ifop.mispredicted = True
             self.pending_redirect = ifop.seq
@@ -997,12 +977,8 @@ class Pipeline:
     def _squash(self, from_seq: int) -> None:
         """Squash every op with seq >= ``from_seq`` and refetch."""
         self.stats.flushes += 1
-        if self.metrics is not None:
-            self.metrics.count("pipeline.squashes")
-            self.metrics.observe(
-                "pipeline.squash_depth",
-                sum(1 for seq in self.inflight if seq >= from_seq),
-            )
+        self.squash_depths.append(
+            sum(1 for seq in self.inflight if seq >= from_seq))
         if self.tracer is not None:
             for seq in self.inflight:
                 if seq >= from_seq:
@@ -1077,62 +1053,30 @@ class _Mark(NamedTuple):
     issued: int
     dispatching: int  # dispatch-queue length
     signature: Hashable  # the scheduler's quiet_signature()
-    tallies: List  # one tally() per ledger
-
-
-class _Counts:
-    """A plain name -> count dict (energy events, a scheduler's own
-    statistics) as a quiet-stretch ledger: ``tally()`` copies it,
-    ``replay(before, times)`` charges ``times`` more repeats of every
-    change since that copy."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Dict[str, int]):
-        self.counts = counts
-
-    def tally(self) -> Dict[str, int]:
-        return dict(self.counts)
-
-    def replay(self, before: Dict[str, int], times: int) -> None:
-        counts = self.counts
-        for name, value in list(counts.items()):
-            delta = value - before.get(name, 0)
-            if delta:
-                counts[name] = value + delta * times
+    tallies: List[Dict]  # a copy of every ledger
 
 
 def simulate(
     trace: Trace,
     config: CoreConfig,
     max_cycles: int = 50_000_000,
-    tracer: Optional[Tracer] = None,
-    attribution: Optional[StallAttribution] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    sampler: Optional[IntervalSampler] = None,
     phase_hook=None,
 ) -> SimResult:
     """Convenience wrapper: build a :class:`Pipeline` and run it.
 
-    When the config enables sampling (``sample_period > 0``) and no
-    telemetry hook is attached, the run is delegated to the sampled
-    driver (:func:`repro.core.sampling.simulate_sampled`) — this is the
-    single dispatch point through which the experiment runner, sweeps,
-    and the serve worker pool inherit sampled execution.  Telemetry
-    hooks (tracer/attribution/metrics/sampler) force a full-detail run:
-    their per-µop / per-cycle semantics are undefined across
-    fast-forwarded gaps.  ``phase_hook`` (see :class:`~repro.core.
-    sampling.SampledSimulation`) observes the sampled phase machine;
-    it is ignored on full-detail runs, which have no phases.
+    When the config enables sampling (``sample_period > 0``) the run is
+    delegated to the sampled driver (:func:`repro.core.sampling.
+    simulate_sampled`) — this is the single dispatch point through
+    which the experiment runner, sweeps, and the serve worker pool
+    inherit sampled execution.  ``phase_hook`` (see :class:`~repro.
+    core.sampling.SampledSimulation`) observes the sampled phase
+    machine; it is ignored on full-detail runs, which have no phases.
+    Telemetry (tracer, stall attribution, interval sampler) attaches to
+    a :class:`Pipeline` built directly, which always runs full detail.
     """
-    if config.sample_period > 0 and tracer is None and attribution is None \
-            and metrics is None and sampler is None:
+    if config.sample_period > 0:
         from .sampling import simulate_sampled
 
         return simulate_sampled(trace, config, max_cycles=max_cycles,
                                 phase_hook=phase_hook)
-    pipeline = Pipeline(
-        trace, config, tracer=tracer, attribution=attribution,
-        metrics=metrics, sampler=sampler,
-    )
-    return pipeline.run(max_cycles=max_cycles)
+    return Pipeline(trace, config).run(max_cycles=max_cycles)

@@ -81,6 +81,9 @@ class PortFile:
         self._granted: List[bool] = [False] * self.num_ports
         # unpipelined FU busy-until, keyed by (port, op_class)
         self._fu_busy: Dict[Tuple[int, OpClass], int] = {}
+        #: µops issued per port, counted by the pipeline at issue (an
+        #: op that executes without a grant, e.g. in FXA's IXU, counts
+        #: on the port it was assigned)
         self.issues: List[int] = [0] * self.num_ports
 
     # ------------------------------------------------------------------
@@ -127,6 +130,5 @@ class PortFile:
             raise RuntimeError(f"port {port} double-granted in cycle {cycle}")
         self._granted[port] = True
         self.inflight[port] -= 1
-        self.issues[port] += 1
         if not pipelined:
             self._fu_busy[(port, op_class)] = cycle + latency

@@ -59,9 +59,8 @@ class LoadStoreUnit:
         self.forwards = 0
         self.violations = 0
         self.searches = 0
-        #: nullable telemetry sinks; the pipeline wires its own here
+        #: nullable telemetry sink; the pipeline wires its own here
         self.tracer = None
-        self.metrics = None
 
     # ------------------------------------------------------------------
     # allocation (dispatch)
@@ -96,8 +95,6 @@ class LoadStoreUnit:
     def load_executing(self, seq: int, addr: int, cycle: int) -> ForwardResult:
         """A load's address is ready: search the SQ for a forwarding source."""
         self.searches += 1
-        if self.metrics is not None:
-            self.metrics.count("lsq.searches")
         entry = self._loads[seq]
         entry.addr = addr
         best: Optional[StoreEntry] = None
@@ -107,8 +104,6 @@ class LoadStoreUnit:
                     best = store
         if best is not None:
             self.forwards += 1
-            if self.metrics is not None:
-                self.metrics.count("lsq.forwards")
             if self.tracer is not None:
                 self.tracer.emit(cycle, seq, "forward", f"from:{best.seq}")
             # data may not be produced yet; forwarding completes then
@@ -145,8 +140,6 @@ class LoadStoreUnit:
         ]
         if violators:
             self.violations += len(violators)
-            if self.metrics is not None:
-                self.metrics.count("lsq.violations", len(violators))
             if self.tracer is not None:
                 for load_seq in violators:
                     self.tracer.emit(

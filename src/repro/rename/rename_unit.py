@@ -67,8 +67,6 @@ class RenameUnit:
         )
         self.renames = 0
         self.recovered = 0
-        #: nullable telemetry sink; the pipeline wires its registry here
-        self.metrics = None
 
     # ------------------------------------------------------------------
     def lookup(self, arch: int) -> int:
@@ -98,8 +96,6 @@ class RenameUnit:
             prev = self._rat[op.dest]
             self._rat[op.dest] = dest_preg
         self.renames += 1
-        if self.metrics is not None:
-            self.metrics.count("rename.renames")
         return RenamedOp(
             seq=op.seq,
             dest_preg=dest_preg,
@@ -130,8 +126,6 @@ class RenameUnit:
         pool = self._free_fp if dest_preg >= self.num_int else self._free_int
         pool.append(dest_preg)
         self.recovered += 1
-        if self.metrics is not None:
-            self.metrics.count("rename.recovered")
 
     def commit(self, renamed: RenamedOp) -> None:
         """Retire a :class:`RenamedOp` (wrapper over ``commit_mapping``)."""

@@ -27,7 +27,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
 from .piq import SharedPIQ
-from .steering import SteerDecision, SteerInfo, SteeringScoreboard
+from .steering import (SteerDecision, SteerInfo, SteeringScoreboard,
+                       decision_counts, figure4_outcomes)
 
 
 class BallerinoScheduler(SchedulerBase):
@@ -64,11 +65,8 @@ class BallerinoScheduler(SchedulerBase):
         self.steer = SteeringScoreboard()
         self.issued_siq = 0
         self.issued_piq = 0
-        self.outcomes: Dict[str, int] = {
-            "steer_dc": 0, "steer_mda": 0, "share": 0,
-            "alloc_ready": 0, "alloc_nonready": 0,
-            "stall_ready": 0, "stall_nonready": 0,
-        }
+        self.steer_decisions = decision_counts(("dc", "mda", "share",
+                                                "alloc", "stall"))
         self.head_states: Dict[str, int] = {
             "issue": 0, "wait_mdep": 0, "wait_operand": 0,
             "port_conflict": 0, "empty": 0,
@@ -133,21 +131,6 @@ class BallerinoScheduler(SchedulerBase):
                                      outcome="share", ready=ready)
         return SteerDecision(target=None, partition=0, outcome="stall",
                              ready=ready)
-
-    def _count_outcome(self, decision: SteerDecision) -> None:
-        suffix = "ready" if decision.ready else "nonready"
-        if decision.outcome == "dc":
-            self.outcomes["steer_dc"] += 1
-        elif decision.outcome == "mda":
-            self.outcomes["steer_mda"] += 1
-        elif decision.outcome == "share":
-            self.outcomes["share"] += 1
-        elif decision.outcome == "alloc":
-            self.outcomes[f"alloc_{suffix}"] += 1
-        else:
-            self.outcomes[f"stall_{suffix}"] += 1
-        if self.metrics is not None:
-            self.metrics.count(f"sched.steer.{decision.outcome}_{suffix}")
 
     def _apply_steer(self, ifop: InFlightOp, decision: SteerDecision) -> None:
         piq = self.piqs[decision.target]
@@ -287,7 +270,7 @@ class BallerinoScheduler(SchedulerBase):
             # steer: along M/R-dependences if not ready, or as a fresh
             # dependence head if ready but the issue port was taken
             decision = self._decide(op, ready_mask[i])
-            self._count_outcome(decision)
+            self.steer_decisions[decision.outcome, decision.ready] += 1
             if decision.target is None:
                 blocked = True  # steering stall: this op blocks the head
                 kept.append(op)
@@ -303,8 +286,8 @@ class BallerinoScheduler(SchedulerBase):
         return len(self.siq), tuple((piq.count, piq.active)
                                     for piq in self.piqs)
 
-    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
-        return self.head_states, self.outcomes
+    def quiet_counters(self) -> Tuple[Dict, ...]:
+        return self.head_states, self.steer_decisions
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # completions are observed only by the P-IQ heads + S-IQ window
@@ -349,7 +332,7 @@ class BallerinoScheduler(SchedulerBase):
         return out
 
     def extra_stats(self) -> Dict[str, float]:
-        stats: Dict[str, float] = dict(self.outcomes)
+        stats: Dict[str, float] = figure4_outcomes(self.steer_decisions)
         stats.update({f"head_{k}": v for k, v in self.head_states.items()})
         stats["issued_siq"] = self.issued_siq
         stats["issued_piq"] = self.issued_piq

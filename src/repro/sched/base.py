@@ -56,8 +56,8 @@ class SchedulerBase:
     #:   :meth:`quiet_signature` sees, and a stretch of such cycles that
     #:   repeats brings the signature back within ``n`` cycles (Ballerino's
     #:   shared P-IQs alternate their examined head, so it needs 2);
-    #: * every statistic they bump lives in ``core.energy``, the metrics
-    #:   registry or one of the dicts :meth:`quiet_counters` returns;
+    #: * every statistic they bump lives in ``core.energy`` or one of the
+    #:   dicts :meth:`quiet_counters` returns;
     #: * they read the clock only through ``core.try_grant`` (whose FU
     #:   busy-until the pipeline watches) and :meth:`next_event_cycle`.
     skip_period = 0
@@ -65,8 +65,6 @@ class SchedulerBase:
     def __init__(self, core: "Pipeline"):
         self.core = core
         self.energy = core.energy
-        # getattr: unit tests drive schedulers with stripped-down fake cores
-        self.metrics = getattr(core, "metrics", None)
 
     # -- telemetry -----------------------------------------------------
     def trace_steer(self, ifop: InFlightOp, cause: str) -> None:
@@ -77,11 +75,6 @@ class SchedulerBase:
         tracer = getattr(self.core, "tracer", None)
         if tracer is not None:
             tracer.emit(self.core.cycle, ifop.seq, "steer", cause)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a hardware counter (no-op when metrics are off)."""
-        if self.metrics is not None:
-            self.metrics.count(name, n)
 
     # -- dispatch ------------------------------------------------------
     def can_accept(self, ifop: InFlightOp) -> bool:
@@ -121,8 +114,8 @@ class SchedulerBase:
         """
         return None
 
-    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
-        """The scheduler's own statistics dicts a quiet cycle may bump."""
+    def quiet_counters(self) -> Tuple[Dict, ...]:
+        """The scheduler's own count dicts a quiet cycle may bump."""
         return ()
 
     def next_event_cycle(self, after: int) -> Optional[int]:

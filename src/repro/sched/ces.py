@@ -25,7 +25,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
-from .steering import SteerDecision, SteerInfo, SteeringScoreboard
+from .steering import (SteerDecision, SteerInfo, SteeringScoreboard,
+                       decision_counts, figure4_outcomes)
 
 
 class CESScheduler(SchedulerBase):
@@ -44,12 +45,9 @@ class CESScheduler(SchedulerBase):
         self.steer = SteeringScoreboard()
         self._pending: Optional[SteerDecision] = None
         self._pending_seq = -1
-        # Figure 4 steering-outcome counters
-        self.outcomes: Dict[str, int] = {
-            "steer_dc": 0, "steer_mda": 0,
-            "alloc_ready": 0, "alloc_nonready": 0,
-            "stall_ready": 0, "stall_nonready": 0,
-        }
+        # Figure 4: steering decisions by outcome and operand readiness
+        self.steer_decisions = decision_counts(("dc", "mda", "alloc",
+                                                "stall"))
         # Figure 6a head-state counters (cycles x P-IQs)
         self.head_states: Dict[str, int] = {
             "issue": 0, "wait_mdep": 0, "wait_operand": 0,
@@ -90,22 +88,9 @@ class CESScheduler(SchedulerBase):
         return SteerDecision(target=None, partition=0, outcome="stall",
                              ready=ready)
 
-    def _count_outcome(self, decision: SteerDecision) -> None:
-        suffix = "ready" if decision.ready else "nonready"
-        if decision.outcome == "dc":
-            self.outcomes["steer_dc"] += 1
-        elif decision.outcome == "mda":
-            self.outcomes["steer_mda"] += 1
-        elif decision.outcome in ("alloc", "share"):
-            self.outcomes[f"alloc_{suffix}"] += 1
-        else:
-            self.outcomes[f"stall_{suffix}"] += 1
-        if self.metrics is not None:
-            self.metrics.count(f"sched.steer.{decision.outcome}_{suffix}")
-
     def can_accept(self, ifop: InFlightOp) -> bool:
         decision = self._decide(ifop, self.core.cycle)
-        self._count_outcome(decision)
+        self.steer_decisions[decision.outcome, decision.ready] += 1
         self._pending = decision
         self._pending_seq = ifop.seq
         self.energy["steer"] += 1
@@ -168,9 +153,9 @@ class CESScheduler(SchedulerBase):
             issued.append(head)
         return issued
 
-    def quiet_counters(self) -> Tuple[Dict[str, int], ...]:
+    def quiet_counters(self) -> Tuple[Dict, ...]:
         # a blocked dispatch re-decides (and counts) a stall every cycle
-        return self.head_states, self.outcomes
+        return self.head_states, self.steer_decisions
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # only P-IQ heads observe completions (no CAM broadcast)
@@ -202,6 +187,6 @@ class CESScheduler(SchedulerBase):
         return {f"piq{i}": len(q) for i, q in enumerate(self.piqs)}
 
     def extra_stats(self) -> Dict[str, float]:
-        stats: Dict[str, float] = dict(self.outcomes)
+        stats: Dict[str, float] = figure4_outcomes(self.steer_decisions)
         stats.update({f"head_{k}": v for k, v in self.head_states.items()})
         return stats

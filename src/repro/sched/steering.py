@@ -10,7 +10,7 @@ consumer then sees Reserved and must start a new chain (chain split).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -87,3 +87,26 @@ class SteeringScoreboard:
 
     def __len__(self) -> int:
         return len(self._map)
+
+
+def decision_counts(outcomes: Sequence[str]) -> Dict[Tuple[str, bool], int]:
+    """Zeroed steering-decision counts keyed ``(outcome, ready)``, where
+    ``ready`` is :attr:`SteerDecision.ready`."""
+    return {(outcome, ready): 0 for outcome in outcomes
+            for ready in (True, False)}
+
+
+def figure4_outcomes(counts: Dict[Tuple[str, bool], int]) -> Dict[str, int]:
+    """The paper's Fig. 4 breakdown of :func:`decision_counts`:
+    dependence, M-dependence and sharing steers whatever the readiness,
+    allocations and stalls split by it."""
+    def both(outcome: str) -> int:
+        return counts[outcome, True] + counts[outcome, False]
+
+    out = {"steer_dc": both("dc"), "steer_mda": both("mda")}
+    if ("share", True) in counts:
+        out["share"] = both("share")
+    for outcome in ("alloc", "stall"):
+        out[f"{outcome}_ready"] = counts[outcome, True]
+        out[f"{outcome}_nonready"] = counts[outcome, False]
+    return out

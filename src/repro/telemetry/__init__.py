@@ -2,11 +2,13 @@
 
 Opt-in instrumentation for the simulator.  Construct a
 :class:`Tracer` and/or :class:`StallAttribution` and hand them to the
-:class:`~repro.core.pipeline.Pipeline`::
+:class:`~repro.core.pipeline.Pipeline`; read the hardware counters of
+any pipeline with :func:`core_metrics`::
 
     from repro import build_trace, config_for
     from repro.core.pipeline import Pipeline
-    from repro.telemetry import StallAttribution, Tracer, write_chrome_trace
+    from repro.telemetry import (StallAttribution, Tracer, core_metrics,
+                                 write_chrome_trace)
 
     tracer, attribution = Tracer(), StallAttribution()
     pipe = Pipeline(build_trace("dotprod", 2000), config_for("ballerino"),
@@ -14,6 +16,7 @@ Opt-in instrumentation for the simulator.  Construct a
     result = pipe.run()
     write_chrome_trace(tracer, "pipeline.json")
     print(result.stats.stall_cycles)   # sums exactly to result.cycles
+    print(core_metrics(pipe).value("pipeline.dispatch_block.iq_full"))
 
 When neither is supplied, every hook reduces to a nullable-reference
 check; the measured overhead is below the 3% budget (see
@@ -33,6 +36,7 @@ from .metrics import (
     HistogramMetric,
     IntervalSampler,
     MetricsRegistry,
+    core_metrics,
     flatten_sample,
     samples_to_csv,
     series,
@@ -96,6 +100,7 @@ __all__ = [
     "Tracer",
     "capture_snapshot",
     "chrome_counter_events",
+    "core_metrics",
     "derive_span_id",
     "derive_trace_id",
     "describe_head",

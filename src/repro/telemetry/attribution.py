@@ -35,7 +35,7 @@ The engine also samples per-cycle occupancy of the major structures
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import Pipeline
@@ -55,18 +55,19 @@ class StallAttribution:
 
     The pipeline calls :meth:`record_cycle` at the end of every cycle it
     simulates (guarded by a nullable reference, like the tracer), and
-    :meth:`replay` for a quiet stretch it skips; it notifies the engine
-    of recovery windows and dispatch backpressure via
-    :meth:`note_recovery` / :meth:`note_dispatch_block`.
+    notifies the engine of recovery windows and dispatch backpressure
+    via :meth:`note_recovery` / :meth:`note_dispatch_block`.  For a quiet
+    stretch it skips, it charges :attr:`cycles` and :attr:`occupancy`
+    itself, like every other count dict (see ``Pipeline._skip_quiet``).
     """
 
-    __slots__ = ("cycles", "_occupancy", "samples",
-                 "_recovery_until", "_dispatch_block")
+    __slots__ = ("cycles", "occupancy", "_recovery_until", "_dispatch_block")
 
     def __init__(self) -> None:
+        #: category -> cycles charged to it
         self.cycles: Dict[str, int] = {name: 0 for name in CATEGORIES}
-        self._occupancy: Dict[str, int] = {k: 0 for k in OCCUPANCY_KEYS}
-        self.samples = 0
+        #: structure -> occupancy summed over the sampled cycles
+        self.occupancy: Dict[str, int] = {k: 0 for k in OCCUPANCY_KEYS}
         self._recovery_until = -1
         self._dispatch_block: str = ""
 
@@ -82,8 +83,7 @@ class StallAttribution:
 
     # -- per-cycle sampling -------------------------------------------
     def record_cycle(self, pipe: "Pipeline", committed: bool) -> None:
-        self.samples += 1
-        occ = self._occupancy
+        occ = self.occupancy
         occ["rob"] += len(pipe.rob)
         occ["sched"] += pipe.scheduler.occupancy()
         occ["decode_queue"] += len(pipe.decode_queue)
@@ -92,26 +92,15 @@ class StallAttribution:
         self.cycles[self._classify(pipe, committed)] += 1
         self._dispatch_block = ""
 
-    # -- bulk path (idle-cycle skipping, see Pipeline._skip_quiet) ------
     @property
     def recovery_until(self) -> int:
         """Cycle the current recovery window ends (``squash`` charging)."""
         return self._recovery_until
 
-    def tally(self) -> Tuple[Dict[str, int], Dict[str, int], int]:
-        """Copies of the per-cycle counters, for :meth:`replay`."""
-        return dict(self.cycles), dict(self._occupancy), self.samples
-
-    def replay(self, before: Tuple[Dict[str, int], Dict[str, int], int],
-               times: int) -> None:
-        """Charge ``times`` more repeats of the cycles recorded since
-        ``before`` was tallied — buckets, occupancy and samples alike."""
-        cycles, occupancy, samples = before
-        for counts, base in ((self.cycles, cycles),
-                             (self._occupancy, occupancy)):
-            for name, value in counts.items():
-                counts[name] = value + (value - base[name]) * times
-        self.samples += (self.samples - samples) * times
+    @property
+    def samples(self) -> int:
+        """Cycles sampled so far: each is charged to one category."""
+        return sum(self.cycles.values())
 
     def _classify(self, pipe: "Pipeline", committed: bool) -> str:
         if committed:
@@ -148,4 +137,4 @@ class StallAttribution:
     def occupancy_averages(self) -> Dict[str, float]:
         """Structure -> mean per-cycle occupancy."""
         total = self.samples or 1
-        return {k: round(v / total, 2) for k, v in self._occupancy.items()}
+        return {k: round(v / total, 2) for k, v in self.occupancy.items()}

@@ -1,22 +1,18 @@
 """Hardware-counter metrics registry and interval time-series sampling.
 
-Two opt-in instruments, built on the same null-object pattern as
-:class:`~repro.telemetry.tracer.Tracer`: the pipeline (and every
-scheduler, the LSQ and the rename unit) holds a nullable reference and
-every hook is guarded by a single ``is not None`` check, so the
-disabled cost is one branch per site.
-
 * :class:`MetricsRegistry` — a flat namespace of named **counters**
   (monotonic event counts: ops committed, dispatch blocks by reason,
   steering outcomes, store-forwards), **gauges** (last-written level)
   and **histograms** (distributions over fixed bucket bounds, e.g.
-  squash depths).  ``registry.count(name)`` is the one-liner used on
-  hot paths; :meth:`MetricsRegistry.snapshot` renders everything to a
-  plain dict for JSON/CSV export.
+  squash depths).  :meth:`MetricsRegistry.snapshot` renders everything
+  to a plain dict for JSON/CSV export.  The core needs no hook to fill
+  one: :func:`core_metrics` reads its counters from the statistics a
+  pipeline keeps anyway.  The serve daemon and the runner count their
+  own events with ``registry.count(name)``.
 
-* :class:`IntervalSampler` — snapshots the running pipeline every *N*
-  cycles (plus one tail sample for the final partial interval) into a
-  list of plain dicts: interval and cumulative IPC, per-structure
+* :class:`IntervalSampler` — an opt-in pipeline hook that snapshots
+  the running pipeline every *N* cycles (plus one tail sample for the
+  final partial interval) into a list of plain dicts: interval and cumulative IPC, per-structure
   occupancy (ROB / window / decode queue / LQ / SQ), per-IQ queue
   depths via ``scheduler.queue_occupancy()``, interval stall-class
   fractions (when a :class:`~repro.telemetry.attribution.
@@ -25,8 +21,8 @@ disabled cost is one branch per site.
   series lands on ``SimResult.interval_samples``; the last sample's
   cumulative fields match the end-of-run ``SimStats`` exactly.
 
-Neither instrument mutates simulation state: enabling both leaves
-every simulated statistic byte-identical (pinned against
+Neither mutates simulation state: with the sampler attached, every
+simulated statistic stays byte-identical (pinned against
 ``tests/golden_stats.json``).
 """
 
@@ -166,8 +162,6 @@ class MetricsRegistry:
             name, lambda: HistogramMetric(name, buckets), "histogram"
         )
 
-    # hot-path one-liner: sites call ``metrics.count("x")`` behind a
-    # single nil-check, so the enabled cost stays a dict lookup + add
     def count(self, name: str, n: int = 1) -> None:
         metric = self._metrics.get(name)
         if metric is None:
@@ -187,21 +181,6 @@ class MetricsRegistry:
             metric = self._metrics[name] = GaugeMetric(name)
         metric.value = value
 
-    # bulk path (idle-cycle skipping, see Pipeline._skip_quiet): a quiet
-    # cycle only ever bumps counters
-    def tally(self) -> Dict[str, float]:
-        """Every counter's value, for :meth:`replay`."""
-        return {name: metric.value for name, metric in self._metrics.items()
-                if metric.kind == "counter"}
-
-    def replay(self, before: Dict[str, float], times: int) -> None:
-        """Charge ``times`` more repeats of every counter change since
-        ``before`` was tallied."""
-        for name, value in self.tally().items():
-            delta = value - before.get(name, 0)
-            if delta:
-                self._metrics[name].value = value + delta * times
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -220,6 +199,45 @@ class MetricsRegistry:
         """Everything, as plain JSON-serialisable dicts, sorted by name."""
         return {name: self._metrics[name].snapshot()
                 for name in sorted(self._metrics)}
+
+
+def core_metrics(pipe: "Pipeline") -> MetricsRegistry:
+    """The core's hardware counters, read from a pipeline's statistics.
+
+    Counters (``pipeline.*``, ``lsq.*``, ``rename.*``, ``sched.steer.*``)
+    and the ``pipeline.squash_depth`` histogram.  A counter that never
+    counted is absent.  Reads a finished run or one mid-step alike.
+    """
+    stats = pipe.stats
+    counts = {
+        "pipeline.fetch_ops": stats.fetched,
+        "pipeline.dispatch_ops": pipe.energy["dispatch"],
+        "pipeline.issue_ops": stats.issued,
+        "pipeline.commit_ops": stats.committed,
+        "pipeline.branch_mispredicts": stats.branch_mispredicts,
+        "pipeline.squashes": stats.flushes,
+        "lsq.searches": pipe.lsu.searches,
+        "lsq.forwards": pipe.lsu.forwards,
+        "lsq.violations": pipe.lsu.violations,
+        "rename.renames": pipe.rename.renames,
+        "rename.recovered": pipe.rename.recovered,
+    }
+    for reason, n in pipe.stalls.items():
+        name = ("pipeline.rename_stall" if reason == "rename"
+                else f"pipeline.dispatch_block.{reason}")
+        counts[name] = n
+    for port, n in enumerate(pipe.ports.issues):
+        counts[f"pipeline.issue_port.{port}"] = n
+    decisions = getattr(pipe.scheduler, "steer_decisions", {})
+    for (outcome, ready), n in decisions.items():
+        counts[f"sched.steer.{outcome}_{'ready' if ready else 'nonready'}"] = n
+    registry = MetricsRegistry()
+    for name, n in counts.items():
+        if n:
+            registry.count(name, n)
+    for depth in pipe.squash_depths:
+        registry.observe("pipeline.squash_depth", depth)
+    return registry
 
 
 class IntervalSampler:

@@ -15,6 +15,10 @@ reduces to two checks per scheduler config:
    executor's.  This catches trace-generation and replay-consistency
    bugs that commit-stream identity alone would mask.
 
+Both checks read the commit stream from the ``commit`` events of a
+:class:`~repro.telemetry.tracer.Tracer` attached to the run, so every
+fuzz program also exercises the tracer.
+
 On top of the differential checks, each timing run executes with the
 per-cycle invariant checker enabled (see
 :mod:`repro.verify.invariants`) and a stall-attribution engine attached,
@@ -22,12 +26,13 @@ so bookkeeping violations surface even when the architectural results
 happen to match.
 
 3. **Timing differential**: the run's whole ``SimResult.to_dict()``
-   and metrics snapshot must equal those of a
-   :class:`~repro.verify.reference.ReferencePipeline`, which simulates
-   every cycle.  Both carry attribution, metrics and an interval
-   sampler, so every fast path in the core loop (idle-cycle skipping
-   and its bulk accounting) is checked field by field on random
-   programs; a mismatch is a ``timing`` failure naming the field.
+   and :func:`~repro.telemetry.metrics.core_metrics` snapshot must
+   equal those of a :class:`~repro.verify.reference.ReferencePipeline`,
+   which simulates every cycle.  Both carry attribution and an
+   interval sampler, so every fast path in the core loop (idle-cycle
+   skipping and its bulk accounting) is checked field by field on
+   random programs; a mismatch is a ``timing`` failure naming the
+   field.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from ..core.pipeline import Pipeline, SimulationDeadlock
 from ..isa.instruction import DynOp
 from ..isa.registers import NUM_ARCH_REGS, ZERO, reg_name
 from ..telemetry.attribution import StallAttribution
-from ..telemetry.metrics import IntervalSampler, MetricsRegistry
+from ..telemetry.metrics import IntervalSampler, core_metrics
+from ..telemetry.tracer import Tracer
 from ..workloads.executor import (
     ExecutionLimitExceeded,
     FunctionalExecutor,
@@ -223,14 +229,13 @@ def check_arch(
 ) -> Optional[Failure]:
     """Run one scheduler config against the reference; None when clean."""
     config = config_for(arch, width)
-    metrics = MetricsRegistry()
+    tracer = Tracer()
     pipe = Pipeline(
         trace,
         config,
         check_invariants=check_invariants,
-        record_commits=True,
+        tracer=tracer,
         attribution=StallAttribution(),
-        metrics=metrics,
         sampler=IntervalSampler(TIMING_SAMPLE_INTERVAL),
     )
     try:
@@ -244,7 +249,9 @@ def check_arch(
             arch=arch, kind="crash",
             detail=f"{type(exc).__name__}: {exc}",
         )
-    seqs = [op.seq for op in pipe.commit_log]
+    commits = [trace[event.seq] for event in tracer.events
+               if event.stage == "commit"]
+    seqs = [op.seq for op in commits]
     if seqs != list(range(len(trace))):
         return Failure(
             arch=arch, kind="commit_stream",
@@ -259,23 +266,20 @@ def check_arch(
             ),
         )
     try:
-        got_regs, got_mem = replay_commits(program, pipe.commit_log)
+        got_regs, got_mem = replay_commits(program, commits)
     except ReplayMismatch as exc:
         return Failure(arch=arch, kind="arch_state", detail=str(exc))
     diff = _diff_state(ref_regs, ref_mem, got_regs, got_mem)
     if diff is not None:
         return Failure(arch=arch, kind="arch_state", detail=diff)
-    return _check_timing(arch, trace, config, result, metrics, max_cycles)
+    return _check_timing(arch, pipe, result, max_cycles)
 
 
-def _check_timing(arch: str, trace, config, result,
-                  metrics: MetricsRegistry,
+def _check_timing(arch: str, pipe: Pipeline, result,
                   max_cycles: int) -> Optional[Failure]:
     """Compare a finished run field by field with the per-cycle loop."""
-    reference_metrics = MetricsRegistry()
     reference = ReferencePipeline(
-        trace, config, attribution=StallAttribution(),
-        metrics=reference_metrics,
+        pipe.trace, pipe.config, attribution=StallAttribution(),
         sampler=IntervalSampler(TIMING_SAMPLE_INTERVAL),
     )
     try:
@@ -287,8 +291,9 @@ def _check_timing(arch: str, trace, config, result,
                    f"{type(exc).__name__}: {exc}",
         )
     diff = first_difference(
-        {"result": expected.to_dict(), "metrics": reference_metrics.snapshot()},
-        {"result": result.to_dict(), "metrics": metrics.snapshot()},
+        {"result": expected.to_dict(),
+         "metrics": core_metrics(reference).snapshot()},
+        {"result": result.to_dict(), "metrics": core_metrics(pipe).snapshot()},
     )
     if diff is not None:
         return Failure(arch=arch, kind="timing", detail=diff)

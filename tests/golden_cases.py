@@ -7,9 +7,9 @@ canonical ``SimResult.to_dict()`` instead, recorded from the plain
 every-cycle loop:
 
 * ``plain`` — every golden cell, bare;
-* ``telemetry`` — every golden cell with a StallAttribution, a
-  MetricsRegistry (its snapshot is part of the digest) and an
-  IntervalSampler attached;
+* ``telemetry`` — every golden cell with a StallAttribution and an
+  IntervalSampler attached, plus the snapshot of its hardware counters
+  (``core_metrics``);
 * ``boundaries`` — runs whose outcome hinges on one exact cycle:
   sampled windows with a detailed warm-up, watchdog and ``max_cycles``
   trips (message and snapshot), and fine-grained interval series.
@@ -30,7 +30,7 @@ from repro.core.config import config_for
 from repro.core.pipeline import DeadlockError, Pipeline, simulate
 from repro.core.sampling import with_sampling
 from repro.telemetry.attribution import StallAttribution
-from repro.telemetry.metrics import IntervalSampler, MetricsRegistry
+from repro.telemetry.metrics import IntervalSampler, core_metrics
 from repro.telemetry.tracer import Tracer
 from repro.workloads.suite import get_trace
 
@@ -59,13 +59,13 @@ def plain_payload(cell: str) -> Dict:
 
 def telemetry_payload(cell: str) -> Dict:
     workload, arch = cell.split("/")
-    metrics = MetricsRegistry()
-    result = Pipeline(
+    pipe = Pipeline(
         golden_trace(workload), config_for(arch),
-        attribution=StallAttribution(), metrics=metrics,
+        attribution=StallAttribution(),
         sampler=IntervalSampler(TELEMETRY_INTERVAL),
-    ).run()
-    return {"result": result.to_dict(), "metrics": metrics.snapshot()}
+    )
+    result = pipe.run()
+    return {"result": result.to_dict(), "metrics": core_metrics(pipe).snapshot()}
 
 
 # ----------------------------------------------------------------------
@@ -97,13 +97,14 @@ def _trip(arch: str, deadlock_cycles: int,
 
 def _series(kernel: str, ops: int, arch: str) -> Callable[[], Dict]:
     def run():
-        metrics, tracer = MetricsRegistry(), Tracer()
-        result = Pipeline(
+        tracer = Tracer()
+        pipe = Pipeline(
             get_trace(kernel, ops, 7), config_for(arch), tracer=tracer,
-            attribution=StallAttribution(), metrics=metrics,
-            sampler=IntervalSampler(7),
-        ).run()
-        return {"result": result.to_dict(), "metrics": metrics.snapshot(),
+            attribution=StallAttribution(), sampler=IntervalSampler(7),
+        )
+        result = pipe.run()
+        return {"result": result.to_dict(),
+                "metrics": core_metrics(pipe).snapshot(),
                 "events": [list(event) for event in tracer.events]}
     return run
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import config_for
 from repro.core.pipeline import Pipeline
 from repro.telemetry.attribution import StallAttribution
-from repro.telemetry.metrics import IntervalSampler, MetricsRegistry
+from repro.telemetry.metrics import IntervalSampler, core_metrics
 from repro.verify import oracle
 from repro.verify.genprog import generate_spec
 from repro.verify.reference import ReferencePipeline, first_difference
@@ -72,12 +72,11 @@ def test_fast_equals_reference_with_every_hook(arch):
     trace = get_trace("stream_triad", 1500, 7)
 
     def payload(cls, **kwargs):
-        metrics = MetricsRegistry()
-        result, steps = _steps(cls(
-            trace, config_for(arch), attribution=StallAttribution(),
-            metrics=metrics, sampler=IntervalSampler(61), **kwargs))
+        pipe = cls(trace, config_for(arch), attribution=StallAttribution(),
+                   sampler=IntervalSampler(61), **kwargs)
+        result, steps = _steps(pipe)
         return {"result": result.to_dict(),
-                "metrics": metrics.snapshot()}, steps
+                "metrics": core_metrics(pipe).snapshot()}, steps
 
     fast, fast_steps = payload(Pipeline, check_invariants=True)
     slow, slow_steps = payload(ReferencePipeline)

@@ -1,7 +1,7 @@
 """Metrics registry + interval sampler: types, interval math, neutrality.
 
-The neutrality class is the load-bearing one: enabling the registry,
-the sampler AND stall attribution together must leave every simulated
+The neutrality class is the load-bearing one: enabling the tracer, the
+sampler AND stall attribution together must leave every simulated
 statistic byte-identical to the uninstrumented golden cells in
 ``tests/golden_stats.json`` — observability may never perturb what it
 observes.
@@ -24,6 +24,7 @@ from repro.telemetry import (
     StallAttribution,
     Tracer,
     chrome_counter_events,
+    core_metrics,
     flatten_sample,
     samples_to_csv,
     series,
@@ -241,12 +242,11 @@ class TestSamplerEndToEnd:
     @pytest.fixture(scope="class")
     def run(self):
         trace = get_trace("histogram", 2000, 7)
-        metrics = MetricsRegistry()
         sampler = IntervalSampler(1000)
-        result = Pipeline(trace, config_for("ballerino"),
-                          metrics=metrics, sampler=sampler,
-                          attribution=StallAttribution()).run()
-        return result, metrics, sampler
+        pipe = Pipeline(trace, config_for("ballerino"), sampler=sampler,
+                        attribution=StallAttribution())
+        result = pipe.run()
+        return result, core_metrics(pipe), sampler
 
     def test_produces_at_least_two_samples(self, run):
         result, _, _ = run
@@ -274,6 +274,15 @@ class TestSamplerEndToEnd:
         assert metrics.value("pipeline.issue_ops") == result.stats.issued
         assert metrics.value("pipeline.branch_mispredicts") \
             == result.stats.branch_mispredicts
+
+    @pytest.mark.parametrize("arch", ["ooo", "inorder", "ces", "casino",
+                                      "fxa", "ballerino", "dnb", "spq"])
+    def test_port_issues_sum_to_issued(self, arch):
+        """Every issued µop counts on its port, including FXA's IXU ops,
+        which execute without a back-end port grant."""
+        pipe = Pipeline(get_trace("dag_wide", 1500, 7), config_for(arch))
+        result = pipe.run()
+        assert sum(pipe.ports.issues) == result.stats.issued
 
     def test_samples_round_trip_sim_result(self, run):
         result, _, _ = run
@@ -307,7 +316,7 @@ class TestNeutrality:
         result = Pipeline(
             trace, config_for(arch),
             tracer=Tracer(), attribution=StallAttribution(),
-            metrics=MetricsRegistry(), sampler=IntervalSampler(500),
+            sampler=IntervalSampler(500),
         ).run()
         expect = GOLDEN["results"][cell]
         assert result.cycles == expect["cycles"], cell

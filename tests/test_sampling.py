@@ -281,14 +281,6 @@ class TestDispatch:
             trace, with_sampling(config_for("ooo"), period=1000, window=400))
         assert result.sampled is True
 
-    def test_telemetry_forces_full_detail(self):
-        from repro.telemetry import MetricsRegistry
-
-        trace = get_trace("histogram", 1000, SEED)
-        config = with_sampling(config_for("ooo"), period=500, window=200)
-        result = simulate(trace, config, metrics=MetricsRegistry())
-        assert result.sampled is False  # per-cycle hooks need full detail
-
 
 # ---------------------------------------------------------------------------
 # fast-forward engine

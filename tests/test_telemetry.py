@@ -6,7 +6,7 @@ import pytest
 
 from repro import build_trace, config_for
 from repro.analysis.runner import ExperimentRunner
-from repro.core.pipeline import Pipeline, simulate
+from repro.core.pipeline import Pipeline
 from repro.telemetry import (
     CATEGORIES,
     LIFECYCLE_RANK,
@@ -22,8 +22,8 @@ from repro.workloads.suite import SUITE_NAMES
 def traced_run(workload, arch, ops=1200):
     trace = build_trace(workload, target_ops=ops)
     tracer, attribution = Tracer(), StallAttribution()
-    result = simulate(trace, config_for(arch), tracer=tracer,
-                      attribution=attribution)
+    result = Pipeline(trace, config_for(arch), tracer=tracer,
+                      attribution=attribution).run()
     return result, tracer, attribution
 
 
@@ -74,7 +74,8 @@ class TestStallAttribution:
     def test_categories_sum_to_total_cycles(self, arch, workload):
         trace = build_trace(workload, target_ops=600)
         attribution = StallAttribution()
-        result = simulate(trace, config_for(arch), attribution=attribution)
+        result = Pipeline(trace, config_for(arch),
+                          attribution=attribution).run()
         stalls = result.stats.stall_cycles
         assert set(stalls) == set(CATEGORIES)
         assert sum(stalls.values()) == result.cycles
@@ -103,8 +104,8 @@ class TestDisabledTracer:
         trace = build_trace("histogram", target_ops=1500)
         config = config_for("ballerino")
         plain = Pipeline(trace, config).run()
-        traced = simulate(trace, config, tracer=Tracer(),
-                          attribution=StallAttribution())
+        traced = Pipeline(trace, config, tracer=Tracer(),
+                          attribution=StallAttribution()).run()
         assert plain.cycles == traced.cycles
         assert plain.stats.committed == traced.stats.committed
         assert plain.stats.energy_events == traced.stats.energy_events
@@ -199,7 +200,8 @@ class TestCacheSchemaVersion:
         # a result with telemetry fields survives the disk cache intact
         trace = build_trace("dotprod", target_ops=400)
         attribution = StallAttribution()
-        result = simulate(trace, config_for("ooo"), attribution=attribution)
+        result = Pipeline(trace, config_for("ooo"),
+                          attribution=attribution).run()
         from repro.core.stats import SimResult
 
         restored = SimResult.from_dict(
