@@ -202,8 +202,9 @@ def _make_parser() -> argparse.ArgumentParser:
                           "(default 1000; implies --metrics)")
     sim.add_argument("--profile", action="store_true",
                      help="run under cProfile and print the top functions "
-                          "by cumulative time (bypasses the result cache "
-                          "so a real simulation is what gets profiled)")
+                          "by cumulative time and the calls per committed "
+                          "µop (bypasses the result cache so a real "
+                          "simulation is what gets profiled)")
     sim.add_argument("--profile-out", default=None, metavar="FILE",
                      help="also dump raw cProfile stats here for pstats/"
                           "snakeviz (implies --profile)")
@@ -611,25 +612,32 @@ def _profiled_simulate(args, cfg):
     """Run one simulation under cProfile; returns the SimResult.
 
     Bypasses the result cache on purpose: a cache hit would profile a
-    JSON load, not the pipeline.  The trace is built *before* the
-    profiler starts, so the report shows simulation cost only.
+    JSON load, not the pipeline.  The trace is built and decoded, and
+    the pipeline constructed, *before* the profiler starts, so the
+    report shows simulation cost only and its call count repeats
+    exactly from run to run.  Besides the top functions it prints
+    ``calls per committed µop``: cProfile's total calls divided by the
+    µops committed.
     """
     import cProfile
     import pstats
 
-    from .core.pipeline import simulate as _simulate
+    from .core.pipeline import Pipeline
     from .workloads.suite import get_trace
 
-    trace = get_trace(args.workload, args.ops, args.seed)
+    pipe = Pipeline(get_trace(args.workload, args.ops, args.seed), cfg)
     profiler = cProfile.Profile()
     profiler.enable()
-    result = _simulate(trace, cfg)
+    result = pipe.run()
     profiler.disable()
     if args.profile_out:
         profiler.dump_stats(args.profile_out)
         print(f"wrote cProfile stats: {args.profile_out}", file=sys.stderr)
     stats = pstats.Stats(profiler, stream=sys.stderr)
     stats.sort_stats("cumulative").print_stats(25)
+    print(f"calls per committed µop: "
+          f"{stats.total_calls / max(1, result.stats.committed):.1f}",
+          file=sys.stderr)
     return result
 
 

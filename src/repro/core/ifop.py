@@ -23,6 +23,7 @@ available), issue, complete, commit.
 from __future__ import annotations
 
 from ..isa.instruction import DynOp
+from ..workloads.trace import TraceColumns
 from .optable import OpTable
 
 
@@ -79,11 +80,13 @@ class InFlightOp:
 
     def __init__(self, seq: int, op: DynOp, decode_cycle: int = 0):
         # standalone construction (unit tests, scratch ops): a private
-        # single-row table backs this lone view.
+        # single-row table backs this lone view, installed as the view
+        # of the table's only slot before it is allocated.
         table = OpTable(1)
+        table.views[0] = self
         self._t = table
-        self._i = table.alloc_slot(seq, op, decode_cycle)
-        table.views[self._i] = self
+        self._i = 0
+        table.alloc(seq, op, decode_cycle, TraceColumns((op,)), 0)
 
     # integer timestamps / indices
     seq = _int_field("seq")
@@ -128,9 +131,10 @@ class InFlightOp:
     def opcode(self):
         return self._t.op[self._i].opcode
 
-    # Cached as flag columns at alloc time: the seed's 3-hop property
-    # chain (InFlightOp -> DynOp -> Opcode) showed up in profiles at
-    # tens of thousands of calls per simulation.
+    # Copied at alloc time from the trace's decoded columns into flag
+    # columns of the op table: the 3-hop property chain (InFlightOp ->
+    # DynOp -> Opcode) showed up in profiles at tens of thousands of
+    # calls per simulation.
     @property
     def is_load(self) -> bool:
         return bool(self._t.is_load[self._i])

@@ -29,6 +29,15 @@ queue, the wakeup scoreboard's consumer buckets, the OoO scheduler's
 incremental ready-set) capture ``(view, view.gen)`` pairs and treat a
 generation mismatch as "stale", which is exactly what object identity
 used to mean.
+
+Static facts
+------------
+An op's class id and load/store/branch flags are copied into the row at
+:meth:`OpTable.alloc` from the trace's decoded columns
+(:class:`~repro.workloads.trace.TraceColumns`, indexed by seq), so the
+stages read them as ints.  Everything else fixed at trace build
+(latency, destination, sources, fetch-stop kind) stays in those
+columns, and the pipeline indexes them by the row's ``seq``.
 """
 
 from __future__ import annotations
@@ -50,9 +59,10 @@ _INT_COLS = (
     ("wake_pending", 0),
 )
 
-#: byte flag columns (0/1), all reset to 0 except ``live``
-_FLAG_COLS = ("issued", "completed", "mispredicted", "mdp_waiting",
-              "live", "is_load", "is_store", "is_branch")
+#: byte columns: 0/1 flags (all reset to 0 except ``live``) and the
+#: op-class id (``OpClass.id``)
+_BYTE_COLS = ("issued", "completed", "mispredicted", "mdp_waiting",
+              "live", "is_load", "is_store", "is_branch", "op_class")
 
 #: object columns and their reset values (plain lists: keep None-ness)
 _OBJ_COLS = (
@@ -88,7 +98,7 @@ class OpTable:
             plus front-end queue depth), never a hard limit.
     """
 
-    __slots__ = tuple(name for name, _ in _INT_COLS) + _FLAG_COLS + tuple(
+    __slots__ = tuple(name for name, _ in _INT_COLS) + _BYTE_COLS + tuple(
         name for name, _ in _OBJ_COLS
     ) + ("gen", "capacity", "views", "_free", "_next_gen", "live_count")
 
@@ -97,7 +107,7 @@ class OpTable:
         self.capacity = capacity
         for name, _ in _INT_COLS:
             setattr(self, name, array("q", bytes(8 * capacity)))
-        for name in _FLAG_COLS:
+        for name in _BYTE_COLS:
             setattr(self, name, array("b", bytes(capacity)))
         for name, default in _OBJ_COLS:
             setattr(self, name, [default] * capacity)
@@ -117,7 +127,7 @@ class OpTable:
         extra = old  # double
         for name, _ in _INT_COLS:
             getattr(self, name).extend(array("q", bytes(8 * extra)))
-        for name in _FLAG_COLS:
+        for name in _BYTE_COLS:
             getattr(self, name).extend(array("b", bytes(extra)))
         for name, default in _OBJ_COLS:
             getattr(self, name).extend([default] * extra)
@@ -126,8 +136,13 @@ class OpTable:
         self._free.extend(range(old + extra - 1, old - 1, -1))
         self.capacity = old + extra
 
-    def alloc_slot(self, seq: int, op, decode_cycle: int) -> int:
-        """Take (and reset) a free slot; returns its index."""
+    def alloc(self, seq: int, op, decode_cycle: int, cols, row: int):
+        """Take (and reset) a free slot; returns its (recycled) view.
+
+        ``cols`` is the :class:`~repro.workloads.trace.TraceColumns` the
+        op was decoded into and ``row`` its row there (the pipeline's
+        ``seq``); the slot copies that row's class id and flags.
+        """
         free = self._free
         if not free:
             self._grow()
@@ -150,14 +165,10 @@ class OpTable:
         self.mdp_waiting[slot] = 0
         self.live[slot] = 1
         self.op[slot] = op
-        if op is not None:
-            self.is_load[slot] = 1 if op.is_load else 0
-            self.is_store[slot] = 1 if op.is_store else 0
-            self.is_branch[slot] = 1 if op.is_branch else 0
-        else:
-            self.is_load[slot] = 0
-            self.is_store[slot] = 0
-            self.is_branch[slot] = 0
+        self.op_class[slot] = cols.op_class[row]
+        self.is_load[slot] = cols.is_load[row]
+        self.is_store[slot] = cols.is_store[row]
+        self.is_branch[slot] = cols.is_branch[row]
         self.dest_preg[slot] = None
         self.src_pregs[slot] = ()
         self.prev_dest_preg[slot] = None
@@ -168,11 +179,6 @@ class OpTable:
         self.gen[slot] = self._next_gen
         self._next_gen += 1
         self.live_count += 1
-        return slot
-
-    def alloc(self, seq: int, op, decode_cycle: int):
-        """Allocate one op row; returns its (recycled) InFlightOp view."""
-        slot = self.alloc_slot(seq, op, decode_cycle)
         view = self.views[slot]
         if view is None:
             cls = _view_class()

@@ -35,7 +35,7 @@ from typing import (Callable, Deque, Dict, Hashable, List, NamedTuple,
                     Optional, Tuple)
 
 from ..frontend.branch_predictor import FrontEnd
-from ..isa.opcodes import OpClass
+from ..isa.opcodes import OP_CLASSES, OpClass
 from ..lsq.mdp import StoreSetPredictor
 from ..lsq.queues import LoadStoreUnit
 from ..memory.cache import LINE_SIZE
@@ -44,7 +44,7 @@ from ..rename.rename_unit import RenameUnit
 from ..telemetry.attribution import StallAttribution
 from ..telemetry.metrics import IntervalSampler
 from ..telemetry.tracer import Tracer
-from ..workloads.trace import Trace
+from ..workloads.trace import STOP_HALT, STOP_JMP, Trace
 from .config import CoreConfig
 from .ifop import InFlightOp
 from .optable import OpTable
@@ -54,8 +54,8 @@ from .rob import ReorderBuffer
 from .stats import SimResult, SimStats
 from .wakeup import WakeupScoreboard
 
-#: FU energy-event name per op class.
-_FU_EVENT = {
+#: FU energy-event name, indexed by op-class id.
+_FU_EVENTS = tuple({
     OpClass.INT_ALU: "fu_int",
     OpClass.INT_MUL: "fu_mul",
     OpClass.INT_DIV: "fu_div",
@@ -66,7 +66,7 @@ _FU_EVENT = {
     OpClass.STORE: "fu_agu",
     OpClass.BRANCH: "fu_branch",
     OpClass.NOP: "fu_int",
-}
+}[klass] for klass in OP_CLASSES)
 
 #: Why rename or dispatch can block a cycle: the keys of
 #: :attr:`Pipeline.stalls` (``rename`` is a physical-register stall).
@@ -112,7 +112,10 @@ class Pipeline:
     scheduler, LSQ, rename unit and ports keep anyway.
 
     Args:
-        trace: The dynamic micro-op stream to replay.
+        trace: The dynamic micro-op stream to replay.  Its decoded
+            columns (:attr:`~repro.workloads.trace.Trace.columns`,
+            built on first use and cached on the trace) are what the
+            stages read per µop.
         config: Core configuration (see :mod:`repro.core.config`).
         scheduler_factory: ``f(pipeline) -> scheduler``; defaults to building
             the scheduler named by ``config.scheduler.kind``.
@@ -150,6 +153,8 @@ class Pipeline:
         mdp: Optional[StoreSetPredictor] = None,
     ):
         self.trace = trace
+        #: the trace's decoded columns, indexed by seq
+        self.cols = trace.columns
         self.config = config
         self.tracer = tracer
         self.attribution = attribution
@@ -234,14 +239,12 @@ class Pipeline:
 
     def try_grant(self, ifop: InFlightOp, cycle: int) -> bool:
         """Request this op's issue port; True (and consumed) if granted."""
-        opcode = ifop._t.op[ifop._i].opcode
-        klass = opcode.op_class
-        port = ifop._t.port[ifop._i]
-        if self.ports.can_issue(port, klass, cycle):
-            self.ports.grant(port, klass, cycle, opcode.latency,
-                             opcode.pipelined)
-            return True
-        return False
+        table = ifop._t
+        slot = ifop._i
+        seq = table.seq[slot]
+        cols = self.cols
+        return self.ports.grant(table.port[slot], table.op_class[slot], cycle,
+                                cols.latency[seq], cols.pipelined[seq])
 
     def producer_incomplete(self, preg: int, cycle: int) -> bool:
         return not self.ready.is_ready(preg, cycle)
@@ -395,8 +398,11 @@ class Pipeline:
         queue = self.decode_queue
         if queue:
             slot = queue[0]._i
-            return (table.decode_cycle[slot] + self.config.fetch_latency > cycle
-                    or not self.rename.can_rename(table.op[slot]))
+            if table.decode_cycle[slot] + self.config.fetch_latency > cycle:
+                return True
+            seq = table.seq[slot]
+            return not self.rename.can_rename(self.cols.dest[seq],
+                                              self.cols.dest_fp[seq])
         return True
 
     def _skip_quiet(self) -> None:
@@ -565,6 +571,7 @@ class Pipeline:
         if not completed[entries[0]._i]:
             return
         tracer = self.tracer
+        record = self.stats.breakdown.record
         for _ in range(self.config.commit_width):
             if not entries or not completed[entries[0]._i]:
                 return
@@ -583,10 +590,12 @@ class Pipeline:
             elif table.is_load[slot]:
                 self.lsu.commit_load(seq)
             prev_dest = table.prev_dest_preg[slot]
-            self.rename.commit_mapping(prev_dest)
             if prev_dest is not None:
+                self.rename.commit_mapping(prev_dest)
                 self.ready.release(prev_dest)
-            self.stats.breakdown.record(ifop)
+            record(table.klass[slot], table.decode_cycle[slot],
+                   table.dispatch_cycle[slot], table.ready_cycle[slot],
+                   table.issue_cycle[slot])
             self.energy["rob_commit"] += 1
             self._store_issued.pop(seq, None)
             self.inflight.pop(seq, None)
@@ -665,7 +674,9 @@ class Pipeline:
             self.stats.energy_events["wrongpath_ops"] += wrong_path_ops
 
     def _load_agu(self, ifop: InFlightOp, when: int) -> None:
-        seq, addr = ifop.seq, ifop.op.mem_addr
+        seq = ifop._t.seq[ifop._i]
+        op = self.trace.ops[seq]
+        addr = op.mem_addr
         forward = self.lsu.load_executing(seq, addr, when)
         self.energy["lsq_search"] += 1
         if forward.forwarded:
@@ -677,7 +688,7 @@ class Pipeline:
             source = forward.source_seq
             served_by = f"fwd:{source}"
         else:
-            result = self.hier.access_data(addr, when, pc=ifop.op.pc)
+            result = self.hier.access_data(addr, when, pc=op.pc)
             complete_at = result.complete_cycle
             source = -1
             served_by = result.level
@@ -687,11 +698,14 @@ class Pipeline:
         self._schedule(max(complete_at, when + 1), ifop, "exec")
 
     def _store_agu(self, ifop: InFlightOp, when: int) -> None:
-        seq, addr = ifop.seq, ifop.op.mem_addr
-        violators = self.lsu.store_address_ready(seq, addr, when)
+        table = ifop._t
+        slot = ifop._i
+        seq = table.seq[slot]
+        op = self.trace.ops[seq]
+        violators = self.lsu.store_address_ready(seq, op.mem_addr, when)
         self.lsu.store_data_ready(seq, when)
-        ifop.completed = True
-        ifop.complete_cycle = when
+        table.completed[slot] = 1
+        table.complete_cycle[slot] = when
         if self.tracer is not None:
             self.tracer.emit(when, seq, "execute", "agu")
             self.tracer.emit(when, seq, "writeback")
@@ -700,7 +714,7 @@ class Pipeline:
             victim = self.inflight.get(offender)
             self.stats.order_violations += 1
             if self.mdp is not None and victim is not None:
-                self.mdp.train_violation(victim.op.pc, ifop.op.pc)
+                self.mdp.train_violation(victim.op.pc, op.pc)
             self._squash(offender)
 
     # ==================================================================
@@ -716,13 +730,12 @@ class Pipeline:
         slot = ifop._i
         table.issued[slot] = 1
         table.issue_cycle[slot] = cycle
-        opcode = table.op[slot].opcode
         src_pregs = table.src_pregs[slot]
         self.stats.issued += 1
         self.ports.issues[table.port[slot]] += 1
         energy = self.energy
         energy["prf_read"] += len(src_pregs)
-        energy[_FU_EVENT[opcode.op_class]] += 1
+        energy[_FU_EVENTS[table.op_class[slot]]] += 1
         # reconstruct when the op actually became ready (for Fig. 3c/12)
         ready_at = table.dispatch_cycle[slot]
         ready_cycle = self.ready.ready_cycle
@@ -740,7 +753,7 @@ class Pipeline:
             if not (table.is_load[slot] or table.is_store[slot]):
                 self.tracer.emit(
                     cycle + 1, seq, "execute",
-                    opcode.op_class.name.lower(),
+                    OP_CLASSES[table.op_class[slot]].name.lower(),
                 )
 
         if table.is_load[slot]:
@@ -754,7 +767,8 @@ class Pipeline:
                 self.scheduler.on_op_ready(waiter, cycle)
             self._schedule(cycle + 1, ifop, "store_agu")
         else:
-            self._schedule(cycle + opcode.latency, ifop, "exec")
+            self._schedule(cycle + self.cols.latency[table.seq[slot]], ifop,
+                           "exec")
 
     # ==================================================================
     # dispatch
@@ -768,11 +782,14 @@ class Pipeline:
         table = self.ops
         energy = self.energy
         width = self.config.decode_width
+        rob = self.rob
+        rob_entries = rob._entries
         while queue and dispatched < width:
             available_at, ifop = queue[0]
             slot = ifop._i
-            if available_at > cycle or self.rob.full:
-                if self.rob.full:
+            rob_full = len(rob_entries) >= rob.size
+            if available_at > cycle or rob_full:
+                if rob_full:
                     self._dispatch_blocked("rob_full")
                 return
             is_load = table.is_load[slot]
@@ -791,7 +808,9 @@ class Pipeline:
             seq = table.seq[slot]
             if self.tracer is not None:
                 self.tracer.emit(cycle, seq, "dispatch")
-            self.rob.append(ifop)
+            rob_entries.append(ifop)
+            if len(rob_entries) > rob.max_occupancy:
+                rob.max_occupancy = len(rob_entries)
             if is_load:
                 self.lsu.allocate_load(seq, table.op[slot].pc)
                 energy["lsq_write"] += 1
@@ -866,26 +885,32 @@ class Pipeline:
         rename_latency = self.config.rename_latency
         width = self.config.decode_width
         dispatch_queue = self.dispatch_queue
+        rename = self.rename
+        cols = self.cols
+        dests = cols.dest
         while queue and renamed < width:
             ifop = queue[0]
             slot = ifop._i
             if table.decode_cycle[slot] + fetch_latency > cycle:
                 return
-            op = table.op[slot]
-            if not self.rename.can_rename(op):
+            seq = table.seq[slot]
+            dest = dests[seq]
+            fp = cols.dest_fp[seq]
+            if not rename.can_rename(dest, fp):
                 self.stalls["rename"] += 1
                 return  # stall until physical registers free up
             queue.popleft()
-            rename_rec = self.rename.rename(op)
-            dest_preg = rename_rec.dest_preg
+            src_pregs, dest_preg, prev = rename.rename(cols.srcs[seq], dest,
+                                                       fp)
+            table.src_pregs[slot] = src_pregs
             table.dest_preg[slot] = dest_preg
-            table.src_pregs[slot] = rename_rec.src_pregs
-            table.prev_dest_preg[slot] = rename_rec.prev_dest_preg
-            table.dest_arch[slot] = rename_rec.dest_arch
+            table.prev_dest_preg[slot] = prev
+            raw_dest = cols.raw_dest[seq]
+            table.dest_arch[slot] = raw_dest if raw_dest >= 0 else None
             if dest_preg is not None:
                 self.ready.mark_pending(dest_preg)
             self.wakeup.register(ifop, cycle)
-            table.port[slot] = self.ports.assign(op.opcode.op_class)
+            table.port[slot] = self.ports.assign(table.op_class[slot])
             self._classify(ifop)
             if self.tracer is not None:
                 self.tracer.emit(
@@ -902,11 +927,14 @@ class Pipeline:
         cycle = self.cycle
         if self.pending_redirect is not None or cycle < self.fetch_resume_at:
             return
-        fetched = 0
-        trace = self.trace
-        trace_len = len(trace)
-        if self.fetch_index >= trace_len:
+        seq = self.fetch_index
+        total = self._total
+        if seq >= total:
             return
+        fetched = 0
+        trace_ops = self.trace.ops
+        cols = self.cols
+        stops = cols.stop
         decode_queue = self.decode_queue
         width = self.config.decode_width
         alloc_queue = self.config.alloc_queue
@@ -915,12 +943,9 @@ class Pipeline:
         inflight = self.inflight
         stats = self.stats
         energy = self.energy
-        while (
-            fetched < width
-            and self.fetch_index < trace_len
-            and len(decode_queue) < alloc_queue
-        ):
-            op = trace[self.fetch_index]
+        while (fetched < width and seq < total
+               and len(decode_queue) < alloc_queue):
+            op = trace_ops[seq]
             line = (CODE_BASE + op.pc * 4) // LINE_SIZE
             if line != self._last_ifetch_line:
                 result = self.hier.access_ifetch(op.pc, cycle)
@@ -929,26 +954,25 @@ class Pipeline:
                 if extra > 0:
                     self.fetch_resume_at = cycle + extra
                     return  # I-cache miss: stall before consuming the op
-            ifop = ops.alloc(op.seq, op, cycle)
-            inflight[op.seq] = ifop
+            ifop = ops.alloc(seq, op, cycle, cols, seq)
+            inflight[seq] = ifop
             if tracer is not None:
-                tracer.note_op(op.seq, op.pc, op.opcode.name)
-                tracer.emit(cycle, op.seq, "fetch")
+                tracer.note_op(seq, op.pc, op.opcode.name)
+                tracer.emit(cycle, seq, "fetch")
             decode_queue.append(ifop)
             energy["fetch"] += 1
-            self.fetch_index += 1
+            self.fetch_index = seq + 1
             stats.fetched += 1
             fetched += 1
-            if op.is_branch:
-                if not self._fetch_branch(ifop):
+            stop = stops[seq]
+            if stop:
+                if stop == STOP_HALT or not self._fetch_branch(
+                        ifop, op, stop == STOP_JMP):
                     return
-            elif op.opcode.name == "halt":
-                return
+            seq += 1
 
-    def _fetch_branch(self, ifop: InFlightOp) -> bool:
+    def _fetch_branch(self, ifop: InFlightOp, op, unconditional: bool) -> bool:
         """Predict a branch at fetch; returns False if fetch must stop."""
-        op = ifop.op
-        unconditional = op.opcode.name == "jmp"
         prediction = self.frontend.predict_branch(op.pc, unconditional)
         self.frontend.resolve(
             op.pc,
@@ -961,8 +985,8 @@ class Pipeline:
         if not direction_ok:
             # full misprediction: fetch stops until the branch executes
             self.stats.branch_mispredicts += 1
-            ifop.mispredicted = True
-            self.pending_redirect = ifop.seq
+            ifop._t.mispredicted[ifop._i] = 1
+            self.pending_redirect = op.seq
             return False
         if op.taken:
             if prediction.target != op.target_pc:

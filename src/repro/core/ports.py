@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..isa.opcodes import OpClass
+from ..isa.opcodes import OP_CLASSES, OpClass
 
 #: port -> op classes with a functional unit on that port (8-wide, Table I)
 PORT_MAP_8WIDE: Dict[int, Tuple[OpClass, ...]] = {
@@ -61,42 +61,53 @@ PORT_MAPS_BY_WIDTH: Dict[int, Dict[int, Tuple[OpClass, ...]]] = {
     10: PORT_MAP_10WIDE,
 }
 
+_NUM_CLASSES = len(OP_CLASSES)
+
 
 class PortFile:
-    """Issue-port state: dispatch-time assignment + per-cycle arbitration."""
+    """Issue-port state: dispatch-time assignment + per-cycle arbitration.
+
+    Keyed by port number and op-class id (``OpClass.id``, the int the
+    decoded trace carries), so the per-µop calls hash no enum member.
+    """
 
     def __init__(self, port_map: Dict[int, Tuple[OpClass, ...]]):
         self.port_map = port_map
         self.num_ports = len(port_map)
-        self._by_class: Dict[OpClass, List[int]] = {}
+        by_class: List[List[int]] = [[] for _ in OP_CLASSES]
         for port, classes in port_map.items():
             for klass in classes:
-                self._by_class.setdefault(klass, []).append(port)
-        for ports in self._by_class.values():
-            ports.sort()
+                by_class[klass.id].append(port)
+        #: class id -> the ports hosting that class, ascending
+        self._by_class = [tuple(sorted(ports)) for ports in by_class]
         #: dispatched-but-not-issued ops per port (load-balancing metric)
         self.inflight: List[int] = [0] * self.num_ports
-        # per-cycle arbitration state
-        self._granted_cycle = -1
-        self._granted: List[bool] = [False] * self.num_ports
-        # unpipelined FU busy-until, keyed by (port, op_class)
-        self._fu_busy: Dict[Tuple[int, OpClass], int] = {}
+        #: per port, the last cycle it granted an issue
+        self._granted: List[int] = [-1] * self.num_ports
+        #: unpipelined FU busy-until, keyed by port * _NUM_CLASSES +
+        #: class id
+        self._fu_busy: Dict[int, int] = {}
         #: µops issued per port, counted by the pipeline at issue (an
         #: op that executes without a grant, e.g. in FXA's IXU, counts
         #: on the port it was assigned)
         self.issues: List[int] = [0] * self.num_ports
 
     # ------------------------------------------------------------------
-    def ports_for(self, op_class: OpClass) -> Sequence[int]:
-        try:
-            return self._by_class[op_class]
-        except KeyError:
-            raise ValueError(f"no port hosts op class {op_class}") from None
+    def ports_for(self, class_id: int) -> Sequence[int]:
+        """The ports hosting op class ``class_id``, ascending."""
+        return self._by_class[class_id]
 
-    def assign(self, op_class: OpClass) -> int:
-        """Dispatch-time port choice: least in-flight ops (paper §II-A)."""
-        ports = self.ports_for(op_class)
-        port = min(ports, key=lambda p: self.inflight[p])
+    def assign(self, class_id: int) -> int:
+        """Dispatch-time port choice: least in-flight ops (paper §II-A).
+
+        Ties go to the lowest-numbered port.
+        """
+        try:
+            port = min(self._by_class[class_id],
+                       key=self.inflight.__getitem__)
+        except ValueError:
+            raise ValueError(
+                f"no port hosts op class {OP_CLASSES[class_id]}") from None
         self.inflight[port] += 1
         return port
 
@@ -105,30 +116,26 @@ class PortFile:
         self.inflight[port] -= 1
 
     # ------------------------------------------------------------------
-    def _refresh(self, cycle: int) -> None:
-        if cycle != self._granted_cycle:
-            self._granted_cycle = cycle
-            self._granted = [False] * self.num_ports
+    def grant(self, port: int, class_id: int, cycle: int, latency: int,
+              pipelined: int) -> bool:
+        """Request ``port`` for an op of class ``class_id`` this cycle.
 
-    def can_issue(self, port: int, op_class: OpClass, cycle: int) -> bool:
-        """Would an issue request on ``port`` be granted this cycle?"""
-        self._refresh(cycle)
-        if self._granted[port]:
+        Granted (True) when the port has not issued yet this cycle and
+        the class's FU on it is not busy; a grant consumes the port for
+        the cycle, and an unpipelined op also holds its FU for
+        ``latency`` cycles.  Refused requests change nothing.
+        """
+        if self._granted[port] == cycle:
+            return False  # at most one grant per port per cycle
+        fu_busy = self._fu_busy
+        if fu_busy and fu_busy.get(port * _NUM_CLASSES + class_id, 0) > cycle:
             return False
-        busy_until = self._fu_busy.get((port, op_class), 0)
-        return busy_until <= cycle
+        self._granted[port] = cycle
+        self.inflight[port] -= 1
+        if not pipelined:
+            fu_busy[port * _NUM_CLASSES + class_id] = cycle + latency
+        return True
 
     def busy_until(self) -> List[int]:
         """Every unpipelined FU's busy-until cycle (some may be past)."""
         return list(self._fu_busy.values())
-
-    def grant(self, port: int, op_class: OpClass, cycle: int,
-              latency: int, pipelined: bool) -> None:
-        """Consume the port for this cycle (and the FU if unpipelined)."""
-        self._refresh(cycle)
-        if self._granted[port]:
-            raise RuntimeError(f"port {port} double-granted in cycle {cycle}")
-        self._granted[port] = True
-        self.inflight[port] -= 1
-        if not pipelined:
-            self._fu_busy[(port, op_class)] = cycle + latency

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from .ifop import InFlightOp
+from typing import Dict, List
 
 CLASSES = ("Ld", "LdC", "Rst")
 SEGMENTS = ("decode_to_dispatch", "dispatch_to_ready", "ready_to_issue")
@@ -40,15 +38,14 @@ class DelayBreakdown:
     )
     counts: Dict[str, int] = field(default_factory=lambda: {k: 0 for k in CLASSES})
 
-    def record(self, ifop: InFlightOp) -> None:
-        klass = ifop.klass
+    def record(self, klass: str, decode: int, dispatch: int, ready: int,
+               issue: int) -> None:
+        """Count one committed op of class ``klass`` by its stage cycles."""
         self.counts[klass] += 1
         sums = self.sums[klass]
-        sums["decode_to_dispatch"] += ifop.dispatch_cycle - ifop.decode_cycle
-        sums["dispatch_to_ready"] += max(0, ifop.ready_cycle - ifop.dispatch_cycle)
-        sums["ready_to_issue"] += max(
-            0, ifop.issue_cycle - max(ifop.ready_cycle, ifop.dispatch_cycle)
-        )
+        sums["decode_to_dispatch"] += dispatch - decode
+        sums["dispatch_to_ready"] += max(0, ready - dispatch)
+        sums["ready_to_issue"] += max(0, issue - max(ready, dispatch))
 
     def average(self, klass: str, segment: str) -> float:
         count = self.counts[klass]

@@ -21,7 +21,18 @@ class OpClass(enum.Enum):
 
     The issue-port arbitration in :mod:`repro.core.ports` maps each class to
     the ports that host a matching functional unit (paper Table I).
+
+    Each member also carries ``id``, its declaration index (``0`` for
+    ``INT_ALU`` ... ``9`` for ``NOP``; ``OP_CLASSES[klass.id] is
+    klass``).  The decoded trace columns, the op table and the port
+    file key on that int instead of hashing the enum member.
     """
+
+    def __new__(cls, value: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.id = len(cls.__members__)
+        return member
 
     INT_ALU = "int_alu"
     INT_MUL = "int_mul"
@@ -120,6 +131,9 @@ def _make_opcode_table() -> dict:
 
 #: Mnemonic -> :class:`Opcode` for every op in the ISA.
 OPCODES: dict = _make_opcode_table()
+
+#: Every op class, indexed by its ``id``.
+OP_CLASSES = tuple(OpClass)
 
 #: Opcodes whose result another instruction can consume via a register.
 PRODUCING_CLASSES = frozenset(

@@ -1,5 +1,5 @@
 """Register renaming."""
 
-from .rename_unit import OutOfPhysicalRegisters, RenameUnit, RenamedOp
+from .rename_unit import OutOfPhysicalRegisters, RenameUnit
 
-__all__ = ["OutOfPhysicalRegisters", "RenameUnit", "RenamedOp"]
+__all__ = ["OutOfPhysicalRegisters", "RenameUnit"]

@@ -2,33 +2,20 @@
 
 Models the paper's two-stage pipelined renaming (§IV-B) at the architectural
 level: a register alias table maps architectural to physical registers,
-destinations draw from per-class free lists, and every rename writes a
-recovery-log record so a pipeline flush can restore the RAT by walking the
-log backwards (the paper's recovery-log scheme).
+destinations draw from per-class free lists, and every rename returns the
+mapping it replaced.  The pipeline keeps that per op as its recovery-log
+record, so a flush restores the RAT by undoing renames youngest first
+(the paper's recovery-log scheme).
 
 The two-*cycle* rename latency itself is applied by the pipeline; this module
-provides the state and the rename/commit/flush operations.
+provides the state and the rename/commit/undo operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..isa.instruction import DynOp
-from ..isa.registers import NUM_ARCH_REGS, NUM_INT_REGS, ZERO, is_fp
-
-
-@dataclass
-class RenamedOp:
-    """Rename-stage output for one micro-op: physical operand bindings."""
-
-    seq: int
-    dest_preg: Optional[int]
-    src_pregs: Tuple[int, ...]
-    #: previous mapping of the destination arch reg (for recovery + freeing)
-    prev_dest_preg: Optional[int] = None
-    dest_arch: Optional[int] = None
+from ..isa.registers import NUM_ARCH_REGS, NUM_INT_REGS, is_fp, reg_name
 
 
 class OutOfPhysicalRegisters(RuntimeError):
@@ -42,6 +29,11 @@ class RenameUnit:
     ``num_int .. num_int+num_fp-1`` are the FP pool.  At reset, architectural
     register *i* maps to physical register *i*'s pool slot, and physical
     register 0 (backing ``r0``) is permanently ready and never reallocated.
+
+    A µop is renamed from its decoded operands (see
+    :class:`~repro.workloads.trace.TraceColumns`): its source registers,
+    the destination to rename (``-1`` for none, which includes ``r0``)
+    and whether that destination is an FP register.
 
     Args:
         num_int: Integer physical registers (paper 8-wide: 180).
@@ -65,6 +57,8 @@ class RenameUnit:
         self._free_fp: List[int] = list(
             range(num_int + (NUM_ARCH_REGS - NUM_INT_REGS), num_int + num_fp)
         )
+        #: the free lists, indexed by register file (0 int, 1 FP)
+        self._pools = (self._free_int, self._free_fp)
         self.renames = 0
         self.recovered = 0
 
@@ -76,33 +70,31 @@ class RenameUnit:
     def free_count(self, fp: bool) -> int:
         return len(self._free_fp) if fp else len(self._free_int)
 
-    def can_rename(self, op: DynOp) -> bool:
-        """True if a destination register (if any) can be allocated."""
-        if op.dest is None or op.dest == ZERO:
-            return True
-        pool = self._free_fp if is_fp(op.dest) else self._free_int
-        return bool(pool)
+    def can_rename(self, dest: int, fp: int) -> bool:
+        """True if destination ``dest`` (``-1``: none) can get a preg."""
+        return dest < 0 or bool(self._pools[fp])
 
-    def rename(self, op: DynOp) -> RenamedOp:
-        """Rename one micro-op; the caller must have checked ``can_rename``."""
-        src_pregs = tuple(self._rat[src] for src in op.srcs)
-        dest_preg = None
-        prev = None
-        if op.dest is not None and op.dest != ZERO:
-            pool = self._free_fp if is_fp(op.dest) else self._free_int
-            if not pool:
-                raise OutOfPhysicalRegisters(f"no free preg for {op}")
-            dest_preg = pool.pop()
-            prev = self._rat[op.dest]
-            self._rat[op.dest] = dest_preg
+    def rename(self, srcs: Tuple[int, ...], dest: int, fp: int
+               ) -> Tuple[Tuple[int, ...], Optional[int], Optional[int]]:
+        """Rename one µop; the caller must have checked ``can_rename``.
+
+        Returns ``(src_pregs, dest_preg, prev_dest_preg)``: the sources'
+        current mappings, then the destination's new preg and the
+        mapping it replaced (kept for recovery and freed at commit),
+        both ``None`` when there is no destination to rename.
+        """
+        rat = self._rat
+        src_pregs = tuple([rat[src] for src in srcs])
         self.renames += 1
-        return RenamedOp(
-            seq=op.seq,
-            dest_preg=dest_preg,
-            src_pregs=src_pregs,
-            prev_dest_preg=prev,
-            dest_arch=op.dest,
-        )
+        if dest < 0:
+            return src_pregs, None, None
+        pool = self._pools[fp]
+        if not pool:
+            raise OutOfPhysicalRegisters(f"no free preg for {reg_name(dest)}")
+        dest_preg = pool.pop()
+        prev = rat[dest]
+        rat[dest] = dest_preg
+        return src_pregs, dest_preg, prev
 
     # ------------------------------------------------------------------
     def commit_mapping(self, prev_dest_preg: Optional[int]) -> None:
@@ -126,14 +118,3 @@ class RenameUnit:
         pool = self._free_fp if dest_preg >= self.num_int else self._free_int
         pool.append(dest_preg)
         self.recovered += 1
-
-    def commit(self, renamed: RenamedOp) -> None:
-        """Retire a :class:`RenamedOp` (wrapper over ``commit_mapping``)."""
-        self.commit_mapping(renamed.prev_dest_preg)
-
-    def flush(self, renamed_young_first: List[RenamedOp]) -> None:
-        """Undo renames (youngest first), restoring the RAT and free lists."""
-        for renamed in renamed_young_first:
-            self.undo_mapping(
-                renamed.dest_arch, renamed.dest_preg, renamed.prev_dest_preg
-            )

@@ -23,8 +23,9 @@ from ..isa.opcodes import OpClass
 from .base import SchedulerBase
 from .ooo import OutOfOrderScheduler
 
-#: Op classes the IXU's simple ALUs can execute.
-_IXU_CLASSES = frozenset({OpClass.INT_ALU, OpClass.BRANCH, OpClass.NOP})
+#: Ids of the op classes the IXU's simple ALUs can execute.
+_IXU_CLASSES = frozenset(
+    klass.id for klass in (OpClass.INT_ALU, OpClass.BRANCH, OpClass.NOP))
 
 
 class FXAScheduler(SchedulerBase):
@@ -63,7 +64,7 @@ class FXAScheduler(SchedulerBase):
         ixu_issues = 0
         while self._ixu:
             entered, op = self._ixu.popleft()
-            eligible = op.opcode.op_class in _IXU_CLASSES
+            eligible = op._t.op_class[op._i] in _IXU_CLASSES
             self.energy["select_input"] += 1
             if (
                 eligible

@@ -59,7 +59,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
     Raises:
-        TraceFormatError: On a bad header, version, or op count mismatch.
+        TraceFormatError: On a bad header, version, op count mismatch,
+            or an op whose seq is not its position.
     """
     path = Path(path)
     with path.open() as handle:
@@ -78,6 +79,9 @@ def load_trace(path: Union[str, Path]) -> Trace:
             seq, pc, name, dest, srcs, mem_addr, taken, target, fall = (
                 json.loads(line)
             )
+            if seq != len(ops):
+                raise TraceFormatError(
+                    f"{path}: op {len(ops)} has seq {seq}")
             ops.append(
                 DynOp(
                     seq=seq,

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,17 @@ class TestSimulate:
     def test_simulate_rejects_unknown_arch(self, cli):
         with pytest.raises(SystemExit):
             cli("simulate", "histogram", "nosuch")
+
+    def test_profile_reports_calls_per_committed_uop(self, cli, capsys):
+        assert main(["--ops", "1500", "--seed", "7", "simulate",
+                     "matmul_tile", "ooo", "--profile"]) == 0
+        err = capsys.readouterr().err
+        found = re.search(r"calls per committed µop: ([0-9.]+)", err)
+        assert found, err[-2000:]
+        # A host-independent speed guard: the pipeline is built before
+        # the profiler starts, so the count repeats exactly.  The
+        # ceiling is the current figure (105.7) plus 3%.
+        assert float(found.group(1)) <= 108.9
 
 
 class TestTrace:

@@ -5,6 +5,7 @@ import pytest
 from repro.core import PORT_MAPS_BY_WIDTH, PortFile, ReadyFile, ReorderBuffer
 from repro.core.ifop import InFlightOp
 from repro.isa import OpClass, R, opcode
+from repro.isa.opcodes import OP_CLASSES
 from repro.isa.instruction import DynOp
 
 
@@ -13,64 +14,80 @@ def make_ifop(seq=0, name="add", dest=R[1], srcs=(R[2], R[3])):
     return InFlightOp(seq=seq, op=op, decode_cycle=0)
 
 
+INT_ALU, INT_DIV = OpClass.INT_ALU.id, OpClass.INT_DIV.id
+
+
 class TestPortMaps:
     @pytest.mark.parametrize("width", [2, 4, 8, 10])
     def test_every_class_has_a_port(self, width):
         ports = PortFile(PORT_MAPS_BY_WIDTH[width])
         for klass in OpClass:
-            assert ports.ports_for(klass)
+            assert ports.ports_for(klass.id)
 
     def test_8wide_matches_table1(self):
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        assert list(ports.ports_for(OpClass.INT_ALU)) == [0, 1, 5, 6]
-        assert list(ports.ports_for(OpClass.LOAD)) == [2, 3, 4, 7]
-        assert list(ports.ports_for(OpClass.BRANCH)) == [0, 6]
-        assert list(ports.ports_for(OpClass.INT_DIV)) == [0]
-        assert list(ports.ports_for(OpClass.INT_MUL)) == [1]
+        assert list(ports.ports_for(OpClass.INT_ALU.id)) == [0, 1, 5, 6]
+        assert list(ports.ports_for(OpClass.LOAD.id)) == [2, 3, 4, 7]
+        assert list(ports.ports_for(OpClass.BRANCH.id)) == [0, 6]
+        assert list(ports.ports_for(OpClass.INT_DIV.id)) == [0]
+        assert list(ports.ports_for(OpClass.INT_MUL.id)) == [1]
 
     def test_port_count_equals_width(self):
         for width, port_map in PORT_MAPS_BY_WIDTH.items():
             assert len(port_map) == width
 
+    def test_class_ids_index_op_classes(self):
+        assert [klass.id for klass in OP_CLASSES] == list(range(len(OpClass)))
+        assert all(OP_CLASSES[klass.id] is klass for klass in OpClass)
+
 
 class TestPortArbitration:
     def test_assignment_balances_load(self):
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        assigned = [ports.assign(OpClass.INT_ALU) for _ in range(8)]
+        assigned = [ports.assign(INT_ALU) for _ in range(8)]
         # four ALU ports: each should get two of eight ops
         for port in (0, 1, 5, 6):
             assert assigned.count(port) == 2
 
+    def test_unhosted_class_cannot_be_assigned(self):
+        ports = PortFile({0: (OpClass.INT_ALU,)})
+        with pytest.raises(ValueError, match="LOAD"):
+            ports.assign(OpClass.LOAD.id)
+
     def test_one_grant_per_port_per_cycle(self):
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        ports.assign(OpClass.INT_ALU)
-        ports.assign(OpClass.INT_ALU)
-        assert ports.can_issue(0, OpClass.INT_ALU, cycle=1)
-        ports.grant(0, OpClass.INT_ALU, 1, latency=1, pipelined=True)
-        assert not ports.can_issue(0, OpClass.INT_ALU, cycle=1)
-        assert ports.can_issue(0, OpClass.INT_ALU, cycle=2)
+        ports.assign(INT_ALU)
+        ports.assign(INT_ALU)
+        assert ports.grant(0, INT_ALU, 1, latency=1, pipelined=True)
+        assert not ports.grant(0, INT_ALU, 1, latency=1, pipelined=True)
+        assert ports.grant(0, INT_ALU, 2, latency=1, pipelined=True)
 
-    def test_double_grant_raises(self):
+    def test_double_grant_is_refused(self):
+        # a second request on a port in the same cycle is refused and
+        # consumes no assignment
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        ports.assign(OpClass.INT_ALU)
-        ports.assign(OpClass.INT_ALU)
-        ports.grant(0, OpClass.INT_ALU, 1, 1, True)
-        with pytest.raises(RuntimeError):
-            ports.grant(0, OpClass.INT_ALU, 1, 1, True)
+        ports.assign(INT_ALU)
+        ports.assign(INT_ALU)
+        assert ports.inflight[0] == 1
+        assert ports.grant(0, INT_ALU, 1, 1, True)
+        assert ports.inflight[0] == 0
+        assert not ports.grant(0, INT_ALU, 1, 1, True)
+        assert ports.inflight[0] == 0
 
     def test_unpipelined_divide_blocks_its_fu(self):
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        ports.assign(OpClass.INT_DIV)
-        ports.grant(0, OpClass.INT_DIV, 1, latency=20, pipelined=False)
+        ports.assign(INT_DIV)
+        assert ports.grant(0, INT_DIV, 1, latency=20, pipelined=False)
+        assert ports.busy_until() == [21]
         # the divider is busy for 20 cycles...
-        assert not ports.can_issue(0, OpClass.INT_DIV, cycle=5)
-        assert ports.can_issue(0, OpClass.INT_DIV, cycle=21)
+        assert not ports.grant(0, INT_DIV, 5, latency=20, pipelined=False)
         # ...but the port itself is free for other classes next cycle
-        assert ports.can_issue(0, OpClass.INT_ALU, cycle=5)
+        assert ports.grant(0, INT_ALU, 5, latency=1, pipelined=True)
+        assert ports.grant(0, INT_DIV, 21, latency=20, pipelined=False)
 
     def test_unassign(self):
         ports = PortFile(PORT_MAPS_BY_WIDTH[8])
-        port = ports.assign(OpClass.INT_ALU)
+        port = ports.assign(INT_ALU)
         assert ports.inflight[port] == 1
         ports.unassign(port)
         assert ports.inflight[port] == 0

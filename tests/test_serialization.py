@@ -1,10 +1,12 @@
 """Tests for trace save/load."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.workloads import (
+    Trace,
     TraceFormatError,
     build_trace,
     load_trace,
@@ -83,3 +85,37 @@ class TestErrorHandling:
         path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         with pytest.raises(TraceFormatError, match="truncated"):
             load_trace(path)
+
+    def test_rejects_seq_that_is_not_the_position(self, tmp_path, trace):
+        # the core indexes a trace by seq: a shifted file used to load
+        # and then wedge the front end until the deadlock watchdog fired
+        path = tmp_path / "t.trace"
+        save_trace(_shifted(trace, 1000), path)
+        with pytest.raises(TraceFormatError, match="op 0 has seq 1000"):
+            load_trace(path)
+
+    def test_decoding_rejects_seq_that_is_not_the_position(self, trace):
+        with pytest.raises(ValueError, match="op 0 has seq 1000"):
+            _shifted(trace, 1000).columns
+
+    def test_get_trace_rebuilds_a_misnumbered_cache_file(
+            self, tmp_path, monkeypatch):
+        from repro.workloads import get_trace
+        from repro.workloads.suite import _trace_cache_path
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        get_trace.cache_clear()
+        try:
+            path = _trace_cache_path("histogram", 900, 3)
+            good = build_trace("histogram", target_ops=900, seed=3)
+            save_trace(_shifted(good, 1000), path)
+            rebuilt = get_trace("histogram", 900, 3)
+            assert [op.seq for op in rebuilt] == list(range(len(good)))
+            assert load_trace(path) == good
+        finally:
+            get_trace.cache_clear()
+
+
+def _shifted(trace, offset):
+    return Trace(trace.name,
+                 tuple(replace(op, seq=op.seq + offset) for op in trace))
