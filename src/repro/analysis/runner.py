@@ -5,8 +5,10 @@ simulations; the runner memoises each run both in memory and on disk
 (JSON under ``.bench_cache/``) so the whole benchmark suite pays for each
 simulation exactly once.  :meth:`ExperimentRunner.run_many` additionally
 fans uncached (workload, config, seed) tuples across a
-``ProcessPoolExecutor``; the disk cache is the merge point, so parallel
-and serial execution are byte-identical and every later lookup is a hit.
+``ProcessPoolExecutor`` that the runner starts on first use and keeps
+until :meth:`ExperimentRunner.close`; the disk cache is the merge point,
+so parallel and serial execution are byte-identical and every later
+lookup is a hit.
 
 Cache entries are written atomically (``*.tmp`` + ``os.replace``) so
 concurrent workers can never expose a torn file, and a corrupt,
@@ -40,11 +42,12 @@ Environment knobs:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
+import signal
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -125,19 +128,79 @@ def _atomic_write_json(path: Path, payload: Dict) -> None:
     os.replace(tmp, path)
 
 
+def _worker_init() -> None:
+    """Pool worker initializer: die on SIGTERM, leave Ctrl-C to the parent.
+
+    A forked worker inherits the parent's Python signal handlers (the
+    serve daemon's graceful-drain handler among them), so without this
+    ``terminate()`` would not stop a hung worker, and a terminal Ctrl-C
+    would reach every worker as well as the parent that owns the pool.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _phase_recorder(phases: List[Tuple[str, float, float]]):
+    """Phase hook appending each sampled-sim phase to ``phases``.
+
+    :class:`~repro.core.sampling.SampledSimulation` calls the hook with
+    ``(old_phase, new_phase)`` at every transition; each interesting
+    phase (fast-forward, warmup window, measured window) becomes one
+    ``("sim.<phase>", start_t, end_t)`` entry.
+    """
+    opened: List[Tuple[str, float]] = []
+
+    def hook(old_phase: str, new_phase: str) -> None:
+        now = time.time()
+        if opened:
+            name, start_t = opened.pop()
+            phases.append((name, start_t, now))
+        if new_phase in ("ff", "warmup", "measure"):
+            opened.append((f"sim.{new_phase}", now))
+
+    return hook
+
+
+def _simulate_cell(workload: str, config: CoreConfig, seed: int,
+                   target_ops: int, traced: bool):
+    """``get_trace`` -> ``simulate`` for one cell, in-process or in a worker.
+
+    Returns ``(result, phases)``.  With ``traced``, ``phases`` lists the
+    ``(name, start_t, end_t)`` wall-clock bracket of the cell's
+    ``trace_decode`` and ``simulate`` steps and of every sampled
+    ``sim.*`` phase; the runner records them as child spans of the
+    cell.  Untraced, the same steps run bare and ``phases`` is empty.
+    """
+    if not traced:
+        return simulate(get_trace(workload, target_ops, seed), config), []
+    phases: List[Tuple[str, float, float]] = []
+    start_t = time.time()
+    trace = get_trace(workload, target_ops, seed)
+    decoded_t = time.time()
+    result = simulate(trace, config, phase_hook=_phase_recorder(phases))
+    phases += [("trace_decode", start_t, decoded_t),
+               ("simulate", decoded_t, time.time())]
+    return result, phases
+
+
 def _run_task(payload) -> Dict:
     """Pool worker: simulate one (workload, config, seed) tuple.
 
     Module-level so it pickles; returns an envelope carrying
-    ``SimResult.to_dict()`` plus the worker pid and wall-clock seconds
-    (for the campaign run-log) and, when a cache directory is
-    configured, publishes the entry atomically so sibling workers and
-    future runners share it.  With ``REPRO_CHAOS`` set, the chaos
-    harness gets a chance to inject a fault (worker kill, hang, error,
-    wedged scheduler) before/instead of the real run.
+    ``SimResult.to_dict()``, the worker pid, its wall-clock start and
+    seconds (for the campaign run-log and the cell span) and the traced
+    steps of :func:`_simulate_cell`.  When a cache directory is
+    configured it publishes the entry atomically, so sibling workers and
+    future runners share it and the parent only keeps it in memory.
+    With ``REPRO_CHAOS`` set, the chaos harness gets a chance to inject
+    a fault (worker kill, hang, error, wedged scheduler) before/instead
+    of the real run.
     """
-    workload, config, seed, target_ops, cache_dir, key, attempt = payload
+    workload, config, seed, target_ops, cache_dir, key, attempt, traced = \
+        payload
+    start_t = time.time()
     started = time.perf_counter()
+    phases: List[Tuple[str, float, float]] = []
     if os.environ.get("REPRO_CHAOS"):
         from ..verify import chaos
 
@@ -146,38 +209,18 @@ def _run_task(payload) -> Dict:
     else:
         result = None
     if result is None:
-        trace = get_trace(workload, target_ops, seed)
-        result = simulate(trace, config)
+        result, phases = _simulate_cell(workload, config, seed, target_ops,
+                                        traced)
     data = result.to_dict()
     if cache_dir:
         _atomic_write_json(Path(cache_dir) / f"{key}.json", data)
     return {
         "result": data,
         "worker": os.getpid(),
+        "start_t": start_t,
         "seconds": round(time.perf_counter() - started, 6),
+        "phases": phases,
     }
-
-
-def _phase_span_hook(recorder: SpanRecorder, parent):
-    """Phase-transition callback turning sampled-sim phases into spans.
-
-    :class:`~repro.core.sampling.SampledSimulation` calls the hook with
-    ``(old_phase, new_phase)`` at every transition; each interesting
-    phase (fast-forward, warmup window, measured window) becomes one
-    ``sim.<phase>`` span under the cell.  Only the in-process serial
-    path wires this — pool workers have no recorder to stream to.
-    """
-    state = {"span": None}
-
-    def hook(old_phase: str, new_phase: str) -> None:
-        if state["span"] is not None:
-            recorder.finish(state["span"])
-            state["span"] = None
-        if new_phase in ("ff", "warmup", "measure"):
-            state["span"] = recorder.start(f"sim.{new_phase}",
-                                           parent=parent)
-
-    return hook
 
 
 class ExperimentRunner:
@@ -209,6 +252,18 @@ class ExperimentRunner:
         trace_ctx: Parent :class:`SpanContext` for this runner's
             campaigns (a shard span, a serve job span); ``None`` makes
             each traced :meth:`run_many` open its own campaign root.
+        out_of_process: Run every uncached cell in a pool worker, even a
+            lone cell at ``jobs=1``.  The ``repro serve`` daemon sets it
+            so simulation leaves its interpreter (and GIL) and
+            ``task_timeout`` applies; everyone else keeps the in-process
+            path for serial batches.
+
+    The worker pool starts on the first batch that needs one, is sized
+    by that batch's ``jobs`` and is kept for later batches; it is
+    replaced only after a worker kill or a broken pool (or when a batch
+    asks for a different size).  :meth:`close` ends it.  A worker is a
+    fork of this process as of the pool's start: set ``REPRO_CHAOS``,
+    ``REPRO_TRACE_CACHE`` and any monkeypatch before the first batch.
     """
 
     def __init__(
@@ -225,6 +280,7 @@ class ExperimentRunner:
         metrics: Optional[MetricsRegistry] = None,
         spans: Union[None, str, SpanRecorder] = None,
         trace_ctx: Optional[SpanContext] = None,
+        out_of_process: bool = False,
     ):
         self.target_ops = target_ops
         self.seed = seed
@@ -265,16 +321,27 @@ class ExperimentRunner:
         self.metrics = metrics
         if spans is None:
             spans = os.environ.get("REPRO_SPANS", "")
+        #: a recorder this runner opened from a path (closed by close())
+        self._own_spans: Optional[SpanRecorder] = None
         if isinstance(spans, SpanRecorder):
             self.spans: Optional[SpanRecorder] = spans
         else:
-            self.spans = SpanRecorder(spans) if spans else None
+            self.spans = self._own_spans = (SpanRecorder(spans) if spans
+                                            else None)
         self.trace_ctx = trace_ctx
         #: parent context of the campaign currently executing (the
         #: campaign root span, a shard span or a serve job span);
         #: stamps trace/span ids onto run-log lifecycle events.
         self._trace_parent: Optional[SpanContext] = trace_ctx
         self._campaign_t0 = time.perf_counter()
+        self.out_of_process = out_of_process
+        #: the persistent worker pool (a ``ProcessPoolExecutor``) and
+        #: its size; the lock guards the swap against a :meth:`close`
+        #: from another thread (the serve daemon's stop path)
+        self._pool = None
+        self._pool_size = 0
+        self._pool_lock = threading.Lock()
+        self._closed = False
 
     # ------------------------------------------------------------------
     # campaign observability
@@ -449,13 +516,6 @@ class ExperimentRunner:
             self.cache_hits += 1
         return result
 
-    def _store(self, key: str, result: SimResult) -> None:
-        self._memory[key] = result
-        if self.cache_dir is not None:
-            _atomic_write_json(
-                self.cache_dir / f"{key}.json", result.to_dict()
-            )
-
     def run(self, workload: str, config: CoreConfig,
             seed: Optional[int] = None) -> SimResult:
         """Run (or fetch) one simulation.
@@ -609,7 +669,8 @@ class ExperimentRunner:
                                 hits=len(logged_hits),
                                 misses=len(pending))
 
-            parallel = bool(pending) and jobs > 1 and len(pending) > 1
+            parallel = bool(pending) and (
+                self.out_of_process or (jobs > 1 and len(pending) > 1))
             self._log("campaign_start", tasks=len(norm),
                       pending=len(pending), jobs=jobs,
                       mode="parallel" if parallel else "serial",
@@ -645,59 +706,73 @@ class ExperimentRunner:
             out.append(result if result is not None else self.quarantined[key])
         return out
 
-    def _finish(self, key: str, result: SimResult) -> None:
-        """Merge one fresh simulation through the unified store path.
+    def _finish(self, key: str, result: SimResult,
+                published: bool = False) -> None:
+        """Merge one fresh simulation: count it and cache it.
 
         Both the serial and the parallel path land here, so the memory
-        and disk caches end up in the identical state either way (the
-        parallel worker's own publish writes the same bytes)."""
+        and disk caches end up in the identical state either way.  A
+        pool worker has already written the disk entry (``published``),
+        so the parent keeps it in memory only."""
         self.simulations_run += 1
-        self._store(key, result)
+        self._memory[key] = result
+        if not published and self.cache_dir is not None:
+            _atomic_write_json(self.cache_dir / f"{key}.json",
+                               result.to_dict())
+
+    def _record_cell(self, key: str, triple: Tuple[str, CoreConfig, int],
+                     start_t: float, phases, **attrs) -> None:
+        """Record a fresh cell's span and its steps as child spans.
+
+        ``phases`` are :func:`_simulate_cell`'s ``(name, start_t,
+        end_t)`` brackets, measured where the cell ran (this process or
+        a pool worker); the cell span runs from the cell's start to now.
+        A no-op unless the batch is traced."""
+        parent = self._trace_parent
+        if self.spans is None or parent is None:
+            return
+        workload, config, seed = triple
+        cell = self.spans.record(
+            "cell", parent=parent, start_t=start_t, end_t=time.time(),
+            span_id=derive_span_id(parent.trace_id, "cell", key),
+            workload=workload, config=config.name, seed=seed, **attrs)
+        for name, step_start, step_end in phases:
+            self.spans.record(name, parent=cell, start_t=step_start,
+                              end_t=step_end)
 
     def _run_serial(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
                     retries: int) -> None:
         """In-process fallback with the same retry/quarantine semantics.
 
-        Each cell runs on its own — ``get_trace`` → ``simulate`` →
+        Each cell runs on its own — :func:`_simulate_cell` →
         :meth:`_finish` — so its span and run-log record carry its own
-        timing.  With a span recorder attached, the decode and simulate
-        steps run inside ``trace_decode`` / ``simulate`` child spans of
-        the cell, and a sampled run adds a ``sim.*`` span per phase;
-        without one, the same steps run bare.
+        timing, with the same traced steps as a pool worker reports.
 
         ``KeyboardInterrupt`` propagates immediately — every cell
         finished before it is already merged into the cache by
         :meth:`_finish`, so an interrupted campaign resumes where it
         stopped."""
         total = len(pending)
-        recorder, parent = self.spans, self._trace_parent
-        for done, (key, (workload, config, seed)) in enumerate(pending.items()):
-            cell_span = None
-            if recorder is not None and parent is not None:
-                cell_span = recorder.start(
-                    "cell", parent=parent,
-                    span_id=derive_span_id(parent.trace_id, "cell", key),
-                    workload=workload, config=config.name, seed=seed)
+        traced = self.spans is not None and self._trace_parent is not None
+        for done, (key, triple) in enumerate(pending.items()):
+            workload, config, seed = triple
             attempt = 0
             while True:
                 self._log("start", key=key, workload=workload,
                           config=config.name, seed=seed, attempt=attempt,
                           **self._cell_trace(key))
+                start_t = time.time()
                 started = time.perf_counter()
                 try:
-                    with self._cell_step(cell_span, "trace_decode"):
-                        trace = get_trace(workload, self.target_ops, seed)
-                    hook = (None if cell_span is None
-                            else _phase_span_hook(recorder, cell_span))
-                    with self._cell_step(cell_span, "simulate"):
-                        result = simulate(trace, config, phase_hook=hook)
+                    result, phases = _simulate_cell(
+                        workload, config, seed, self.target_ops, traced)
                     self._finish(key, result)
                     self._log("finish", key=key, workload=workload,
                               config=config.name, seed=seed, attempt=attempt,
                               seconds=round(time.perf_counter() - started, 6),
                               worker=os.getpid(), **self._cell_trace(key))
-                    if cell_span is not None:
-                        recorder.finish(cell_span, attempts=attempt + 1)
+                    self._record_cell(key, triple, start_t, phases,
+                                      attempts=attempt + 1)
                     break
                 except KeyboardInterrupt:
                     raise
@@ -710,49 +785,107 @@ class ExperimentRunner:
                                   kind=kind, error=error,
                                   **self._cell_trace(key))
                         continue
-                    # the open cell_span is dropped unwritten; the
-                    # quarantine path records the cell's error span
-                    self._quarantine(key, (workload, config, seed), kind,
-                                     error, attempt, snapshot)
+                    # the quarantine path records the cell's error span
+                    self._quarantine(key, triple, kind, error, attempt,
+                                     snapshot)
                     break
             self._heartbeat(done + 1, total, 0, total - done - 1)
 
-    def _cell_step(self, cell_span, name: str):
-        """A ``name`` child span of ``cell_span``; a null context untraced."""
-        if cell_span is None:
-            return contextlib.nullcontext()
-        return self.spans.span(name, parent=cell_span)
+    # ------------------------------------------------------------------
+    # the worker pool
+    # ------------------------------------------------------------------
+    def _pool_for(self, jobs: int):
+        """The runner's worker pool, started on first use and then kept.
+
+        Workers fork lazily, on the pool's first submit, from this
+        process as it is then.  A pool of another size is replaced."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        with self._pool_lock:
+            if self._closed:
+                raise RuntimeError("runner is closed: it starts no worker")
+            old = self._pool
+            if old is not None and self._pool_size == jobs:
+                return old
+            pool = ProcessPoolExecutor(max_workers=jobs,
+                                       initializer=_worker_init)
+            self._pool, self._pool_size = pool, jobs
+        if old is not None:
+            old.shutdown(wait=True)
+        return pool
+
+    def _kill_pool(self) -> None:
+        """Kill every worker and reap it; the next batch starts a new pool.
+
+        A hung task cannot be cancelled, only killed — the workers reset
+        SIGTERM to its default action, so ``terminate()`` does it.  The
+        kill holds the lock that submits take (a pool forks its workers
+        on its first submit), so no worker can start after it."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            if pool is None:
+                return
+            workers = list((getattr(pool, "_processes", None) or {})
+                           .values())
+            for proc in workers:
+                try:
+                    proc.terminate()
+                except OSError:  # already gone
+                    pass
+            pool.shutdown(wait=False, cancel_futures=True)
+        for proc in workers:
+            proc.join()
+
+    def close(self) -> None:
+        """End the worker pool and close the files this runner opened.
+
+        A worker still busy is killed, not awaited.  The run-log and a
+        span file opened from a path are closed and dropped; a recorder
+        passed in stays open for its owner.  Safe to call from another
+        thread while a batch runs (the batch then fails with
+        ``RuntimeError``) and more than once.  After it the runner
+        starts no worker and logs nothing; cache hits and in-process
+        serial batches still work."""
+        with self._pool_lock:
+            self._closed = True
+        self._kill_pool()
+        if self.run_log is not None:
+            self.run_log.close()
+            self.run_log = None
+        if self._own_spans is not None:
+            self._own_spans.close()
+            if self.spans is self._own_spans:
+                self.spans = None
+            self._own_spans = None
 
     def _run_parallel(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
                       jobs: int, timeout: Optional[float],
                       retries: int) -> None:
-        """Fan ``pending`` over a worker pool, surviving worker failures.
+        """Fan ``pending`` over the worker pool, surviving worker failures.
 
         Structure: a work queue of (key, attempt) plus an in-flight map
-        of future -> (key, deadline).  Completions merge through
-        :meth:`_finish`; failures either requeue (attempt+1) or
+        of future -> (key, deadline, attempt).  Completions merge
+        through :meth:`_finish`; failures either requeue (attempt+1) or
         quarantine.  A hung task (deadline exceeded) or a broken pool
         kills every worker, charges an attempt to the in-flight cells,
-        requeues them, and respawns the pool after an exponential
-        backoff.  ``KeyboardInterrupt`` tears the pool down without
-        waiting; the cache keeps everything already merged.
+        requeues them, and starts a new pool after an exponential
+        backoff.  With a timeout, at most ``jobs`` cells are in flight,
+        so each deadline starts when a worker takes the cell; without
+        one, ``2 * jobs`` keep the workers fed.  ``KeyboardInterrupt``
+        (or any other escape) kills the pool without waiting; the cache
+        keeps everything already merged.
         """
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
         cache = str(self.cache_dir) if self.cache_dir is not None else ""
-        max_workers = min(jobs, len(pending))
+        traced = self.spans is not None and self._trace_parent is not None
+        limit = jobs if timeout else 2 * jobs
         queue: Deque[Tuple[str, int]] = deque(
             (key, 0) for key in pending
         )
         inflight: Dict[object, Tuple[str, Optional[float], int]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
         breaks = 0
-
-        def payload(key: str, attempt: int):
-            workload, config, seed = pending[key]
-            return (workload, config, seed, self.target_ops, cache, key,
-                    attempt)
 
         def fail_or_requeue(key: str, attempt: int, kind: str, error: str,
                             snapshot: Optional[Dict] = None) -> None:
@@ -765,42 +898,38 @@ class ExperimentRunner:
                 self._quarantine(key, pending[key], kind, error,
                                  attempt + 1, snapshot)
 
-        def kill_pool() -> None:
-            nonlocal pool
-            if pool is None:
-                return
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.terminate()
-                except OSError:  # already gone
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-
-        def abandon_inflight(culprits: Sequence[object]) -> None:
+        def restart(culprits: Sequence[object]) -> None:
             """Pool died / was killed: requeue every in-flight cell.
 
             The cells named in ``culprits`` already had their failure
             charged; the rest get an attempt charged too (the dying
             worker cannot be attributed, so everybody pays one — this
             bounds a kill-looping cell at ``retries`` pool restarts)."""
+            nonlocal breaks
             for future, (key, _, attempt) in list(inflight.items()):
                 if future not in culprits:
                     fail_or_requeue(key, attempt, "worker-lost",
                                     "worker pool died mid-task")
             inflight.clear()
+            self._kill_pool()
+            breaks += 1
+            self.pool_restarts += 1
+            self._log("pool_restart", restarts=self.pool_restarts)
+            time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
 
         try:
             while queue or inflight:
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
-                while queue and len(inflight) < 2 * max_workers:
+                pool = self._pool_for(jobs)
+                while queue and len(inflight) < limit:
                     key, attempt = queue.popleft()
                     workload, config, seed = pending[key]
                     self._log("submit", key=key, workload=workload,
                               config=config.name, seed=seed, attempt=attempt,
                               **self._cell_trace(key))
-                    future = pool.submit(_run_task, payload(key, attempt))
+                    with self._pool_lock:
+                        future = pool.submit(_run_task, (
+                            workload, config, seed, self.target_ops, cache,
+                            key, attempt, traced))
                     deadline = (time.monotonic() + timeout) if timeout else None
                     inflight[future] = (key, deadline, attempt)
                 done, _ = wait(list(inflight), timeout=_POLL_INTERVAL,
@@ -814,13 +943,13 @@ class ExperimentRunner:
                         fail_or_requeue(key, attempt, "worker-lost",
                                         "worker process died (BrokenProcessPool)")
                         broke = True
-                    except KeyboardInterrupt:
-                        raise
                     except Exception as exc:
                         kind, error, snapshot = self._classify_failure(exc)
                         fail_or_requeue(key, attempt, kind, error, snapshot)
                     else:
-                        self._finish(key, SimResult.from_dict(envelope["result"]))
+                        self._finish(key,
+                                     SimResult.from_dict(envelope["result"]),
+                                     published=True)
                         workload, config, seed = pending[key]
                         self._log("finish", key=key, workload=workload,
                                   config=config.name, seed=seed,
@@ -828,20 +957,11 @@ class ExperimentRunner:
                                   seconds=envelope["seconds"],
                                   worker=envelope["worker"],
                                   **self._cell_trace(key))
-                        if self.spans is not None \
-                                and self._trace_parent is not None:
-                            # the worker reported its wall-clock bracket;
-                            # record the cell span on its behalf
-                            parent = self._trace_parent
-                            end_t = time.time()
-                            self.spans.record(
-                                "cell", parent=parent,
-                                start_t=end_t - envelope["seconds"],
-                                end_t=end_t,
-                                span_id=derive_span_id(parent.trace_id,
-                                                       "cell", key),
-                                workload=workload, config=config.name,
-                                seed=seed, worker=envelope["worker"])
+                        self._record_cell(key, pending[key],
+                                          envelope["start_t"],
+                                          envelope["phases"],
+                                          attempts=attempt + 1,
+                                          worker=envelope["worker"])
                 finished = sum(
                     1 for k in pending
                     if k in self._memory or k in self.quarantined
@@ -849,12 +969,7 @@ class ExperimentRunner:
                 self._heartbeat(finished, len(pending), len(inflight),
                                 len(queue))
                 if broke:
-                    abandon_inflight(culprits=())
-                    kill_pool()
-                    breaks += 1
-                    self.pool_restarts += 1
-                    self._log("pool_restart", restarts=self.pool_restarts)
-                    time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
+                    restart(culprits=())
                     continue
                 if timeout:
                     now = time.monotonic()
@@ -874,18 +989,11 @@ class ExperimentRunner:
                                 key, attempt, "timeout",
                                 f"exceeded {timeout:g}s wall-clock timeout")
                         # a hung worker cannot be cancelled — only killed
-                        abandon_inflight(culprits=expired)
-                        kill_pool()
-                        breaks += 1
-                        self.pool_restarts += 1
-                        self._log("pool_restart", restarts=self.pool_restarts)
-                        time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
-        except KeyboardInterrupt:
-            kill_pool()
+                        restart(culprits=expired)
+        except BaseException:
+            if inflight:
+                self._kill_pool()
             raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
 
     def run_cell(self, workload: str, config: CoreConfig,
                  seed: Optional[int] = None,

@@ -352,21 +352,19 @@ def _make_parser() -> argparse.ArgumentParser:
                            help="write the bound port here once "
                                 "listening (for scripts/CI)")
     serve_cmd.add_argument("--workers", type=int, default=2, metavar="N",
-                           help="worker threads in the pool (default 2)")
+                           help="worker processes, each driven by its own "
+                                "dispatch thread (default 2)")
     serve_cmd.add_argument("--shard-size", type=int, default=4, metavar="N",
                            help="cells per dispatch shard (default 4)")
-    serve_cmd.add_argument("--shard-jobs", type=int, default=1, metavar="N",
-                           help="processes each shard fans its run_many "
-                                "over (default 1 = in-thread serial)")
     serve_cmd.add_argument("--queue-dir", default=None, metavar="DIR",
                            help="durable queue directory (default: "
                                 "<cache>/queue)")
     serve_cmd.add_argument("--max-depth", type=int, default=64, metavar="N",
                            help="queued-job bound before backpressure "
                                 "(default 64)")
-    serve_cmd.add_argument("--rate", type=float, default=10.0,
+    serve_cmd.add_argument("--rate", type=float, default=50.0,
                            help="per-tenant sustained submit rate, "
-                                "jobs/s (default 10)")
+                                "jobs/s (default 50)")
     serve_cmd.add_argument("--burst", type=float, default=20,
                            help="per-tenant submit burst (default 20)")
     serve_cmd.add_argument("--spans", action="store_true",
@@ -1208,7 +1206,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         shard_size=args.shard_size,
-        shard_jobs=args.shard_jobs,
         max_depth=args.max_depth,
         rate=args.rate,
         burst=args.burst,

@@ -487,6 +487,8 @@ class Pipeline:
             self.energy[name] += count
         if self.sampler is not None:
             self.sampler.finalize(self)
+        # the run is over: free the pipeline by reference counting
+        self.scheduler.detach()
         return SimResult(
             workload=self.trace.name,
             config_name=self.config.name,

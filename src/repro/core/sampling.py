@@ -452,6 +452,7 @@ class SampledSimulation:
         # keeps the learned SSIT — that is the warmed part.
         if self.mdp is not None:
             self.mdp.flush_from(0)
+        pipe.scheduler.detach()  # free the finished window by refcount
         self._pipe = None
         self._advance_phase()
 

@@ -280,16 +280,17 @@ def run_shard(
     runner._log("shard_start", shard=shard, of=spec.n_shards,
                 cells=len(mine), salt=spec.salt)
     tasks = [cell.task(spec.seed) for _, cell in mine]
-    results = runner.run_many(tasks, jobs=jobs)
-    failed = sum(1 for result in results if not result.ok)
-    runner._log("shard_end", shard=shard, of=spec.n_shards,
-                completed=len(results) - failed, failed=failed)
+    try:
+        results = runner.run_many(tasks, jobs=jobs)
+        failed = sum(1 for result in results if not result.ok)
+        runner._log("shard_end", shard=shard, of=spec.n_shards,
+                    completed=len(results) - failed, failed=failed)
+    finally:
+        runner.close()  # the pool and the shard log
     if recorder is not None:
         recorder.finish(shard_span, completed=len(results) - failed,
                         failed=failed)
         recorder.close()
-    if runner.run_log is not None:
-        runner.run_log.close()
     return results
 
 

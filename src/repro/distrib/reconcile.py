@@ -483,6 +483,9 @@ class RepairScheduler:
                         runner.trace_ctx = old_ctx
                         runner._trace_parent = old_ctx
                     runner_log.close()
+                    close = getattr(runner, "close", None)
+                    if close is not None:
+                        close()
             diff = self.detector.diff(root)
             round_states = diff.by_state()
             log.log("reconcile_round", round=rounds,

@@ -152,3 +152,16 @@ class SchedulerBase:
 
     def extra_stats(self) -> Dict[str, float]:
         return {}
+
+    # -- end of run ----------------------------------------------------
+    def detach(self) -> None:
+        """Drop the back reference to the finished pipeline.
+
+        ``Pipeline.scheduler`` and ``scheduler.core`` refer to each
+        other; breaking the pair when the run ends lets reference
+        counting free the pipeline (its caches, predictor tables and op
+        table) as soon as its last user drops it, instead of leaving it
+        to the cyclic collector.  Schedulers that wrap an inner window
+        detach it too.  The reporting methods above keep working.
+        """
+        self.core = None

@@ -226,3 +226,7 @@ class DNBScheduler(SchedulerBase):
             "issued_ooo": self.issued_ooo,
             "issued_delay": self.issued_delay,
         }
+
+    def detach(self) -> None:
+        super().detach()
+        self.ooo.detach()

@@ -142,3 +142,7 @@ class FXAScheduler(SchedulerBase):
             "ixu_executed": self.ixu_executed,
             "backend_issued": self.backend_issued,
         }
+
+    def detach(self) -> None:
+        super().detach()
+        self.backend.detach()

@@ -8,7 +8,8 @@ long-lived serving layer:
 * :mod:`~repro.serve.protocol` — versioned JSON job/result schemas;
 * :mod:`~repro.serve.queue` — durable journal-backed priority queue
   with per-tenant rate limiting and backpressure;
-* :mod:`~repro.serve.pool` — worker threads driving ``run_many``;
+* :mod:`~repro.serve.pool` — dispatch threads, each driving one worker
+  process through ``run_many``;
 * :mod:`~repro.serve.resequencer` — ordered result delivery;
 * :mod:`~repro.serve.daemon` — the stdlib-HTTP REST API;
 * :mod:`~repro.serve.client` — the ``repro submit`` / ``repro poll``

@@ -17,11 +17,14 @@ Endpoints (all JSON; see docs/serving.md for the full reference):
   for scraping.
 * ``POST /shutdownz`` — graceful shutdown (also triggered by
   SIGTERM/SIGINT via the CLI): stop accepting, drain in-flight
-  shards, requeue unfinished jobs, journal ``serve_stop``.
+  shards, kill any worker process still busy after the drain timeout,
+  requeue unfinished jobs, journal ``serve_stop``.
 
 Built on stdlib ``ThreadingHTTPServer`` — one thread per connection,
 which is plenty: requests only touch in-memory queue state; the heavy
-lifting happens in the pool's worker threads.
+lifting happens in the pool's worker processes.  Replies go out with
+``TCP_NODELAY``, so a keep-alive client never waits on Nagle's
+algorithm for the body that follows the headers.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from ..telemetry.prometheus import render_prometheus
 from ..telemetry.spans import SpanRecorder
 from .pool import WorkerPool
 from .protocol import PROTOCOL_VERSION, ProtocolError, parse_submit
-from .queue import DurableJobQueue, QueueRejection, new_job_id
+from .queue import (DEFAULT_BURST, DEFAULT_RATE, DurableJobQueue,
+                    QueueRejection, new_job_id)
 
 
 def _repro_version() -> str:
@@ -63,10 +67,9 @@ class ServeDaemon:
         port: int = 0,
         workers: int = 2,
         shard_size: int = 4,
-        shard_jobs: int = 1,
         max_depth: int = 64,
-        rate: float = 10.0,
-        burst: float = 20,
+        rate: float = DEFAULT_RATE,
+        burst: float = DEFAULT_BURST,
         runner_factory: Optional[Callable[[], ExperimentRunner]] = None,
         runner_kwargs: Optional[Dict] = None,
         spans: bool = False,
@@ -85,11 +88,12 @@ class ServeDaemon:
             kwargs.setdefault("metrics", self.metrics)
             if self.spans is not None:
                 kwargs.setdefault("spans", self.spans)
+            # each dispatch thread drives one worker process of its own
+            kwargs.update(jobs=1, out_of_process=True)
             runner_factory = lambda: ExperimentRunner(**kwargs)  # noqa: E731
         self.pool = WorkerPool(
             self.queue, runner_factory, workers=workers,
-            shard_size=shard_size, shard_jobs=shard_jobs,
-            metrics=self.metrics, spans=self.spans)
+            shard_size=shard_size, metrics=self.metrics, spans=self.spans)
         self.workers = workers
         self._httpd = ThreadingHTTPServer((host, port), self._handler_class())
         self._http_thread: Optional[threading.Thread] = None
@@ -120,7 +124,10 @@ class ServeDaemon:
 
     def stop(self, drain: bool = True,
              timeout: Optional[float] = 30.0) -> Tuple[int, int]:
-        """Graceful shutdown; returns ``(drained_shards, requeued_jobs)``."""
+        """Graceful shutdown; returns ``(drained_shards, requeued_jobs)``.
+
+        In-flight shards get ``timeout`` seconds to drain; then every
+        worker process is ended, a busy one killed."""
         if self._stopped.is_set():
             return (0, 0)
         self._httpd.shutdown()
@@ -171,6 +178,10 @@ class ServeDaemon:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # headers and body are two sends on a keep-alive socket:
+            # without TCP_NODELAY the body waits for the client's
+            # delayed ACK (~40 ms per reply)
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):  # quiet by default
                 pass

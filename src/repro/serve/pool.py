@@ -1,17 +1,20 @@
 """Worker pool: drives queued jobs through ``ExperimentRunner.run_many``.
 
-Each worker thread owns its own fault-tolerant
-:class:`~repro.analysis.runner.ExperimentRunner` (built by the
-injected factory), so the watchdog / retry / quarantine / atomic-cache
-semantics of PR 4 carry over unchanged — the shared disk cache is the
-merge point, exactly as in parallel campaigns.  A job's cells are
-split into **shards** of ``shard_size`` cells; shards from different
-jobs (and from the same job) execute concurrently across the workers,
-so completions arrive out of order and each job's
+Each of the ``workers`` dispatch threads owns its own fault-tolerant
+:class:`~repro.analysis.runner.ExperimentRunner` (built by the injected
+factory), and the daemon's runners run every cell in a worker process of
+their own, started on the first cell and kept: N dispatch threads drive
+N processes, so N cells simulate at once, off the daemon's GIL.  The
+watchdog / timeout / retry / quarantine / atomic-cache semantics of the
+runner carry over unchanged, and the shared disk cache is the merge
+point, exactly as in parallel campaigns.  A job's cells are split into
+**shards** of ``shard_size`` cells; shards from different jobs (and
+from the same job) execute concurrently across the dispatch threads, so
+completions arrive out of order and each job's
 :class:`~repro.serve.resequencer.Resequencer` restores submission
 order before anything reaches the result stream.
 
-Dispatch priority (per worker, every time it frees up):
+Dispatch priority (per dispatch thread, every time it frees up):
 
 1. a buffered **interactive** shard;
 2. a newly queued **interactive** job (sharded on the spot) — this is
@@ -19,11 +22,15 @@ Dispatch priority (per worker, every time it frees up):
 3. a buffered **batch** shard;
 4. a newly queued **batch** job.
 
-A shard is one ``run_many`` call on the worker's runner (cell by cell
-unless ``shard_jobs > 1``), so shards bound the unit of loss.
+An idle dispatch thread waits on the queue's condition variable
+(:meth:`~repro.serve.queue.DurableJobQueue.wait`): a submit, a requeue,
+a freshly buffered shard or :meth:`WorkerPool.stop` wakes it at once.
 
-Gap repair: a shard lost to a crashing worker thread leaves holes in
-its job's sequence space; the failing worker resubmits exactly the
+A shard is one ``run_many`` call on the thread's runner, so shards
+bound the unit of loss.
+
+Gap repair: a shard lost to a crashing dispatch thread leaves holes in
+its job's sequence space; the failing thread resubmits exactly the
 missing cells as a repair shard (journaled as ``cell_repair``), up to
 ``repair_limit`` rounds before the job is marked failed.
 """
@@ -46,6 +53,9 @@ from .resequencer import Resequencer
 
 #: Default cells per shard (the unit of dispatch and of loss).
 DEFAULT_SHARD_SIZE = 4
+#: How long :meth:`WorkerPool.stop` waits for a dispatch thread whose
+#: worker it killed to unwind (its runner backs off before it fails).
+_UNWIND_S = 2.0
 
 
 @dataclass
@@ -73,7 +83,7 @@ class _Shard:
 
 
 class WorkerPool:
-    """N worker threads pulling shards off the durable queue."""
+    """N dispatch threads pulling shards off the durable queue."""
 
     def __init__(
         self,
@@ -81,10 +91,8 @@ class WorkerPool:
         runner_factory: Callable[[], ExperimentRunner],
         workers: int = 2,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        shard_jobs: int = 1,
         repair_limit: int = 2,
         metrics: Optional[MetricsRegistry] = None,
-        poll_interval: float = 0.2,
         spans: Optional[SpanRecorder] = None,
     ):
         if shard_size <= 0:
@@ -93,10 +101,8 @@ class WorkerPool:
         self.runner_factory = runner_factory
         self.workers = max(0, workers)
         self.shard_size = shard_size
-        self.shard_jobs = max(1, shard_jobs)
         self.repair_limit = repair_limit
         self.metrics = metrics
-        self.poll_interval = poll_interval
         #: span recorder shared by all workers (thread-safe); each
         #: dispatched job gets a ``job`` span (parented under the
         #: client's submitted trace context when the JobSpec carries
@@ -123,7 +129,7 @@ class WorkerPool:
             self._runners.append(runner)
             thread = threading.Thread(
                 target=self._worker_loop, args=(runner,),
-                name=f"repro-serve-worker-{index}", daemon=True)
+                name=f"repro-serve-dispatch-{index}", daemon=True)
             self._threads.append(thread)
             thread.start()
 
@@ -131,14 +137,26 @@ class WorkerPool:
              timeout: Optional[float] = None) -> Tuple[int, int]:
         """Stop the pool; returns ``(drained_shards, requeued_jobs)``.
 
-        ``drain=True`` lets each worker finish its in-flight shard
-        (bounded by ``timeout``); jobs not fully complete are requeued
-        at the front of their lane — the journal already guarantees the
-        same outcome after a crash, this just does it politely.
+        ``drain=True`` lets each dispatch thread finish its in-flight
+        shard (bounded by ``timeout`` overall); then every runner is
+        closed, which kills a worker process still busy — a hung cell
+        does not outlive the pool.  Jobs not fully complete are
+        requeued at the front of their lane — the journal already
+        guarantees the same outcome after a crash, this just does it
+        politely.
         """
         self._stopping.set()
+        self.queue.notify()
+        if not drain:
+            timeout = 0.1
+        deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(timeout=timeout if drain else 0.1)
+            thread.join(timeout=None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
+        for runner in self._runners:
+            runner.close()
+        for thread in self._threads:  # a killed shard unwinds quickly
+            thread.join(timeout=_UNWIND_S)
         drained = self.shards_executed
         requeued = 0
         with self._lock:
@@ -154,7 +172,7 @@ class WorkerPool:
 
     @property
     def cache_warnings(self) -> int:
-        """Tolerated cache corruptions across every worker's runner."""
+        """Tolerated cache corruptions across every dispatch runner."""
         return sum(runner.cache_warnings for runner in self._runners)
 
     @property
@@ -194,19 +212,30 @@ class WorkerPool:
             if self._shards["interactive"]:
                 return self._take("interactive")
         state = self.queue.next_job(classes=("interactive",), timeout=0)
-        if state is not None:
+        if state is None:
             with self._lock:
-                self._shard_job(state)
-                return self._take("interactive")
+                if self._shards["batch"]:
+                    return self._take("batch")
+            state = self.queue.next_job(timeout=0)
+            if state is None:
+                return None
+        lane = state.spec.priority
         with self._lock:
-            if self._shards["batch"]:
-                return self._take("batch")
-        state = self.queue.next_job(timeout=0)
-        if state is not None:
-            with self._lock:
-                self._shard_job(state)
-                return self._take(state.spec.priority)
-        return None
+            self._shard_job(state)
+            shard = self._take(lane)
+            buffered = bool(self._shards[lane])
+        if buffered:  # an idle dispatch thread can take the rest
+            self.queue.notify()
+        return shard
+
+    def _idle(self) -> bool:
+        """Nothing buffered to dispatch and not stopping.
+
+        Evaluated under the queue's condition by
+        :meth:`~repro.serve.queue.DurableJobQueue.wait`."""
+        with self._lock:
+            return (not self._stopping.is_set()
+                    and not any(self._shards.values()))
 
     def _take(self, lane: str) -> _Shard:
         shard = self._shards[lane].pop(0)
@@ -224,12 +253,14 @@ class WorkerPool:
         while not self._stopping.is_set():
             shard = self._next_shard()
             if shard is None:
-                self._stopping.wait(self.poll_interval)
+                self.queue.wait(self._idle)
                 continue
             try:
                 self._execute(runner, shard)
-            except Exception as exc:  # a lost shard, not a lost worker
-                self._shard_lost(shard, exc)
+            except Exception as exc:  # a lost shard, not a lost thread
+                if not self._stopping.is_set():
+                    self._shard_lost(shard, exc)
+                # else: stop() requeues the whole job
 
     def _execute(self, runner: ExperimentRunner, shard: _Shard) -> None:
         tasks = [cell.task(runner.seed) for cell in shard.cells]
@@ -258,7 +289,7 @@ class WorkerPool:
                     "span_id": derive_span_id(trace_id, "cell", key),
                     "parent_id": shard_span.span_id,
                 }
-        results = runner.run_many(tasks, jobs=self.shard_jobs, **extra)
+        results = runner.run_many(tasks, **extra)
         if shard_span is not None:
             self.spans.finish(shard_span)
         released: List[Tuple[int, Dict]] = []
@@ -327,3 +358,4 @@ class WorkerPool:
             self.queue.log("cell_repair", job_id=job_id, seqs=missing)
             if self.metrics is not None:
                 self.metrics.count("serve.pool.repairs")
+            self.queue.notify()

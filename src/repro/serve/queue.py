@@ -47,7 +47,11 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 DEFAULT_MAX_DEPTH = 64
 
 #: Default per-tenant sustained submit rate (jobs/second) and burst.
-DEFAULT_RATE = 10.0
+#: The rate sits well above what one client that waits for each job
+#: before sending the next reaches on cold cells (a sampled interactive
+#: cell is served in ~0.1 s: 10-12 jobs/s), so such a client is never
+#: refused for the daemon's own speed.
+DEFAULT_RATE = 50.0
 DEFAULT_BURST = 20
 
 
@@ -458,6 +462,24 @@ class DurableJobQueue:
                 if remaining <= 0:
                     return None
                 self._cond.wait(remaining)
+
+    def wait(self, idle: Callable[[], bool]) -> None:
+        """Block while no job is queued and ``idle()`` holds.
+
+        An idle dispatcher's wait: :meth:`submit`, :meth:`requeue` and
+        :meth:`notify` wake it.  ``idle`` is evaluated under the same
+        condition, so work that appears between a caller's own check
+        and its wait is never missed.
+        """
+        with self._cond:
+            while not self.depth() and idle():
+                self._cond.wait()
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait` (work buffered outside the queue, or
+        a shutdown)."""
+        with self._cond:
+            self._cond.notify_all()
 
     def requeue(self, job_id: str, reason: str) -> None:
         """Put a dispatched-but-unfinished job back at the front of its lane.

@@ -9,7 +9,7 @@ prefix is released — downstream consumers (the ordered result stream
 served on ``GET /jobs/<id>/results``) only ever observe cells in
 submission order, no matter how execution interleaved.
 
-Gap handling: a shard lost to a dying worker thread leaves a hole in
+Gap handling: a shard lost to a dying dispatch thread leaves a hole in
 the sequence space.  :meth:`Resequencer.missing` names the holes below
 the high-water mark so the pool can resubmit exactly those cells as a
 repair shard (see :mod:`repro.serve.pool`); duplicates from a repair

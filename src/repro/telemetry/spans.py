@@ -35,10 +35,9 @@ import json
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+from typing import (Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .runlog import read_jsonl
@@ -190,7 +189,7 @@ def _parent_context(parent: ParentLike) -> Optional[SpanContext]:
 class SpanRecorder:
     """Collects finished spans, optionally streaming them to JSONL.
 
-    Thread-safe (the serve pool finishes shards from worker threads).
+    Thread-safe (the serve pool finishes shards from dispatch threads).
     Spans are written when *finished* — :meth:`finish` or
     :meth:`record` — one sorted-keys JSON object per line, flushed, so
     tailers and crashed campaigns see a valid prefix.  In-memory
@@ -251,20 +250,6 @@ class SpanRecorder:
         )
         self._write(span)
         return span
-
-    @contextmanager
-    def span(self, name: str, parent: ParentLike = None,
-             span_id: Optional[str] = None,
-             **attrs: object) -> Iterator[Span]:
-        """``with recorder.span(...) as s:`` — error status on raise."""
-        open_span = self.start(name, parent=parent, span_id=span_id,
-                               **attrs)
-        try:
-            yield open_span
-        except BaseException:
-            self.finish(open_span, status="error")
-            raise
-        self.finish(open_span)
 
     def _write(self, span: Span) -> None:
         with self._lock:

@@ -374,7 +374,10 @@ def run_campaign(
             target_ops=target_ops, seed=seed, cache_dir=str(chaos_cache),
             jobs=jobs, task_timeout=timeout, retries=retries,
         )
-        results = runner.run_many(tasks, jobs=jobs)
+        try:
+            results = runner.run_many(tasks, jobs=jobs)
+        finally:
+            runner.close()
         os.environ.pop(ENV_VAR, None)
 
         # ---------------- verdict ----------------

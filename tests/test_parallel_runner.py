@@ -219,6 +219,35 @@ def test_mixed_schema_cache_entries_invalidate_cleanly(tmp_path,
     assert clone.sampled is False and clone.sampling == {}
 
 
+def test_pool_persists_across_batches_until_close(tmp_path):
+    """One pool serves every batch of a runner (same worker processes,
+    no restart); ``close()`` ends it and leaves no child behind."""
+    import multiprocessing
+
+    from repro.telemetry import read_run_log
+
+    before = {proc.pid for proc in multiprocessing.active_children()}
+    runner = _runner(tmp_path, "persist", jobs=2,
+                     run_log=str(tmp_path / "run.jsonl"))
+    runner.run_many([(w, config_for("ooo")) for w in WORKLOADS])
+    first = {proc.pid for proc in multiprocessing.active_children()} - before
+    runner.run_many([(w, config_for("ces")) for w in WORKLOADS])
+    second = {proc.pid for proc in multiprocessing.active_children()} - before
+    workers = {record["worker"] for record in
+               read_run_log(str(tmp_path / "run.jsonl"), event="finish")}
+    assert len(first) == 2 and second == first
+    assert workers <= first
+    assert runner.pool_restarts == 0 and runner.simulations_run == 6
+    runner.close()
+    assert not {proc.pid for proc in multiprocessing.active_children()} \
+        - before
+    # closed: cache hits still serve, but no worker starts again
+    assert runner.run_many([(w, config_for("ooo")) for w in WORKLOADS])
+    with pytest.raises(RuntimeError):
+        runner.run_many([(w, config_for("inorder")) for w in WORKLOADS])
+    assert runner.run_log is None  # closed with the pool
+
+
 def test_no_leftover_tmp_files(tmp_path):
     runner = _runner(tmp_path, "atomic")
     runner.run_many(

@@ -215,3 +215,56 @@ class TestRobustness:
         two = simulate(trace, config_for("ooo", width=2))
         eight = simulate(trace, config_for("ooo", width=8))
         assert eight.cycles <= two.cycles
+
+
+class TestRelease:
+    """A finished pipeline is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("arch", ["inorder", "ooo", "ces", "casino",
+                                      "fxa", "spq", "dnb", "ballerino"])
+    def test_finished_pipeline_dies_without_the_cyclic_collector(self, arch):
+        import gc
+        import weakref
+
+        from repro.telemetry import core_metrics
+
+        trace = straight_line_alu(60)
+        gc.disable()
+        try:
+            pipe = Pipeline(trace, config_for(arch))
+            result = pipe.run()
+            # post-run readers still work on the detached scheduler
+            assert core_metrics(pipe).snapshot()
+            assert pipe.scheduler.extra_stats() == result.stats.scheduler
+            ref = weakref.ref(pipe)
+            del pipe
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_sampled_window_pipelines_die_without_the_cyclic_collector(
+            self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.core.sampling import with_sampling
+
+        built = []
+        init = Pipeline.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(Pipeline, "__init__", tracking_init)
+        trace = straight_line_alu(400)
+        config = with_sampling(config_for("ooo"), period=150, window=40,
+                               ff_warmup_ops=20)
+        gc.disable()
+        try:
+            result = simulate(trace, config)
+            assert result.sampling["windows"] >= 2
+            assert len(built) >= 2
+            assert [ref() for ref in built] == [None] * len(built)
+        finally:
+            gc.enable()

@@ -9,7 +9,13 @@ structured 429 bodies, not silent queueing.
 """
 
 import contextlib
+import http.client
 import json
+import multiprocessing
+import os
+import signal
+import statistics
+import time
 
 import pytest
 
@@ -17,6 +23,7 @@ from repro.analysis.runner import ExperimentRunner
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import PROTOCOL_VERSION, expand_matrix
+from repro.telemetry import read_run_log
 from repro.verify.chaos import ENV_VAR, ChaosSpec
 from repro.workloads.suite import get_trace
 
@@ -107,8 +114,10 @@ class TestByteIdentity:
 
         # life 2: every first attempt of every cell is killed mid-run
         monkeypatch.setenv(ENV_VAR, ChaosSpec(kill=1.0, salt=11).encode())
+        log = tmp_path / "run.jsonl"
         with serving(tmp_path, sub="serve", workers=1, shard_size=4,
-                     shard_jobs=2) as (daemon, client):
+                     runner_kwargs={"run_log": str(log)}) \
+                as (daemon, client):
             assert daemon.queue.replayed_jobs == 1
             status = client.wait(job_id, timeout=180)
             assert status["status"] == "done"
@@ -120,6 +129,108 @@ class TestByteIdentity:
         got = [json.dumps(e["result"], sort_keys=True) for e in entries]
         assert got == expected
         assert [e["seq"] for e in entries] == list(range(len(expected)))
+        # the kills really happened: served cells run in worker processes
+        assert read_run_log(str(log), event="pool_restart")
+        assert {r["kind"] for r in read_run_log(str(log), event="retry")} \
+            == {"worker-lost"}
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+def _children():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+@contextlib.contextmanager
+def serve_signal_handler():
+    """Install a Python SIGTERM handler, as ``repro serve`` does; forked
+    workers inherit it unless the pool resets it."""
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+class TestWorkerProcesses:
+    def test_cells_run_in_worker_processes_one_per_dispatcher(
+            self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        with serving(tmp_path, workers=2,
+                     runner_kwargs={"run_log": str(log)}) as (daemon, client):
+            jobs = [client.submit(matrix={"workloads": [workload],
+                                          "arches": ["ooo", "inorder"],
+                                          "seeds": [0, 1]})["job_id"]
+                    for workload in ("dotprod", "histogram")]
+            for job_id in jobs:
+                assert client.wait(job_id, timeout=120)["status"] == "done"
+        workers = {r["worker"] for r in read_run_log(str(log),
+                                                     event="finish")}
+        assert os.getpid() not in workers
+        assert len(workers) == 2
+
+    def test_hung_cell_times_out_and_nothing_outlives_stop(
+            self, tmp_path, monkeypatch):
+        """``task_timeout`` applies to served cells: a hung first attempt
+        is killed (SIGTERM works despite the inherited handler) and the
+        retry completes the job; stop leaves no worker behind."""
+        before = _children()
+        log = tmp_path / "run.jsonl"
+        monkeypatch.setenv(ENV_VAR, ChaosSpec(
+            hang=1.0, hang_seconds=120, salt=3).encode())
+        with serve_signal_handler():
+            with serving(tmp_path, runner_kwargs={
+                    "task_timeout": 1.0, "retries": 1,
+                    "run_log": str(log)}) as (daemon, client):
+                job = client.submit(
+                    cells=[{"workload": "dotprod", "arch": "ooo"}])
+                status = client.wait(job["job_id"], timeout=60)
+                assert status["status"] == "done"
+                assert status["failed_cells"] == 0
+                started = time.monotonic()
+                daemon.stop(timeout=5)
+                assert time.monotonic() - started < 5
+        assert not _children() - before
+        assert len(read_run_log(str(log), event="timeout")) == 1
+
+    def test_stop_kills_a_worker_still_busy_after_the_drain(
+            self, tmp_path, monkeypatch):
+        before = _children()
+        monkeypatch.setenv(ENV_VAR, ChaosSpec(
+            hang=1.0, hang_seconds=120, salt=5).encode())
+        with serve_signal_handler():
+            with serving(tmp_path) as (daemon, client):
+                job = client.submit(
+                    cells=[{"workload": "dotprod", "arch": "ooo"}])
+                deadline = time.monotonic() + 30
+                while not _children() - before:  # the worker has forked
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                started = time.monotonic()
+                daemon.stop(timeout=0.5)
+                assert time.monotonic() - started < 0.5 + 3
+                # the job goes back to the queue for the next daemon life
+                assert daemon.queue.jobs[job["job_id"]].status == "queued"
+        assert not _children() - before
+
+    def test_keepalive_replies_do_not_wait_for_delayed_acks(self, tmp_path):
+        with serving(tmp_path, workers=0) as (daemon, client):
+            conn = http.client.HTTPConnection(daemon.host, daemon.port,
+                                              timeout=10)
+            took = []
+            try:
+                for _ in range(20):
+                    started = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                    took.append(time.perf_counter() - started)
+            finally:
+                conn.close()
+        assert statistics.median(took) < 0.010
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Worker pool: priority dispatch, resequencing, gap repair."""
 
+import collections
+import sys
 import threading
+import time
 
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import parse_submit
@@ -53,6 +56,9 @@ class StubRunner:
             raise MemoryError("simulated harness death")
         return [StubResult(task, ok=self.ok) for task in tasks]
 
+    def close(self):
+        pass
+
 
 def manual_pool(queue, runner, **kwargs):
     """A pool with no threads; tests drive dispatch/execution directly."""
@@ -104,8 +110,7 @@ class TestPriorityDispatch:
         queue = DurableJobQueue(str(tmp_path))
         gate, entered = threading.Event(), threading.Event()
         runner = StubRunner(gate=gate, entered=entered)
-        pool = WorkerPool(queue, lambda: runner, workers=1, shard_size=4,
-                          poll_interval=0.01)
+        pool = WorkerPool(queue, lambda: runner, workers=1, shard_size=4)
         pool.start()
         try:
             first = submit(queue, "batch")
@@ -126,6 +131,73 @@ class TestPriorityDispatch:
         finally:
             gate.set()
             pool.stop(timeout=10)
+
+
+    def test_idle_pool_dispatches_each_submit_at_once(self, tmp_path):
+        """An idle dispatcher waits on the queue's condition, so a
+        submit wakes it instead of a poll timer."""
+        queue = DurableJobQueue(str(tmp_path))
+        runner = StubRunner()
+        pool = WorkerPool(queue, lambda: runner, workers=1)
+        pool.start()
+        try:
+            for _ in range(5):
+                time.sleep(0.05)  # the dispatcher is idle again
+                state = submit(queue, "batch", cells=1)
+                deadline = time.monotonic() + 10
+                while state.status != "done":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                assert state.started_t - state.submitted_t < 0.05
+        finally:
+            pool.stop(timeout=10)
+            queue.close()
+        assert len(runner.calls) == 5
+
+
+    def test_concurrent_submits_never_strand_work(self, tmp_path):
+        """Stress the wake-up protocol: more dispatch threads than cores,
+        a tiny switch interval and submits from several threads.  Every
+        cell dispatches exactly once and every job finishes; a lost
+        wake-up would leave a job queued behind idle dispatchers."""
+        queue = DurableJobQueue(str(tmp_path), max_depth=10_000,
+                                rate=1e6, burst=1e6)
+        pool = WorkerPool(queue, StubRunner, workers=4, shard_size=2)
+        states, lock = [], threading.Lock()
+
+        def client(tenant):
+            for index in range(20):
+                state = submit(queue, "interactive" if index % 3 == 0
+                               else "batch", cells=3, tenant=tenant)
+                with lock:
+                    states.append(state)
+                if index % 5 == 0:
+                    time.sleep(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool.start()
+        try:
+            clients = [threading.Thread(target=client, args=(f"t{n}",))
+                       for n in range(3)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + 30
+            while any(state.status != "done" for state in states):
+                assert time.monotonic() < deadline, "a job was stranded"
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop(timeout=10)
+            queue.close()
+        dispatched = collections.Counter(
+            (job_id, seq) for job_id, _, seqs in pool.dispatched
+            for seq in seqs)
+        assert len(states) == 60 and len(dispatched) == 60 * 3
+        assert set(dispatched.values()) == {1}
 
 
 class TestResequencing:

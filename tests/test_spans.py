@@ -15,6 +15,7 @@ Covers the observability PR's acceptance criteria:
 import collections
 import contextlib
 import json
+import os
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.distrib import (CampaignSpec, campaign_root_context,
                            shard_spans_path)
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
+from repro.serve.protocol import PROTOCOL_VERSION
 from repro.telemetry.spans import (Span, SpanContext, SpanRecorder,
                                    derive_span_id, derive_trace_id,
                                    merge_spans, new_span_id, new_trace_id,
@@ -162,6 +164,26 @@ class TestRunnerTracing:
         first, second = sorted(cells, key=lambda s: s.start_t)
         assert first.end_t <= second.start_t
 
+    def test_parallel_cells_keep_their_worker_side_steps(self, tmp_path):
+        runner = ExperimentRunner(
+            target_ops=OPS, cache_dir=str(tmp_path / "cache"), run_log="",
+            spans=str(tmp_path / "spans.jsonl"), jobs=2)
+        try:
+            runner.run_many(_tasks())
+        finally:
+            runner.close()
+        spans = read_spans(str(tmp_path / "spans.jsonl"))
+        cells = [s for s in spans if s.name == "cell"]
+        assert len(cells) == len(_tasks())
+        for cell in cells:
+            assert cell.attrs["worker"] != os.getpid()
+            steps = [s for s in spans if s.parent_id == cell.span_id]
+            assert sorted(s.name for s in steps) == [
+                "simulate", "trace_decode"]
+            for step in steps:
+                assert cell.start_t <= step.start_t <= step.end_t \
+                    <= cell.end_t
+
     def test_run_log_stamped_with_trace_ids(self, tmp_path):
         from repro.telemetry.runlog import read_run_log
 
@@ -230,6 +252,48 @@ class TestServeRoundTrip:
             job_span = by_id[dispatch.parent_id]
             assert job_span.name == "job"
             assert job_span.parent_id == parent.span_id
+
+    def test_served_sampled_cell_keeps_its_worker_side_steps(
+            self, tmp_path):
+        """The worker reports its decode, simulate and sampled-phase
+        brackets; the daemon records them under the cell span, and the
+        results match an untraced daemon's byte for byte."""
+        payload = {"version": PROTOCOL_VERSION,
+                   "cells": [{"workload": "dotprod", "arch": "ooo",
+                              "width": 4}],
+                   "sampling": {"period": 150, "window": 40,
+                                "ff_warmup_ops": 20}}
+
+        def served(daemon):
+            client = ServeClient(daemon.url)
+            job = client._request("POST", "/jobs", payload)
+            assert client.wait(job["job_id"], timeout=120)["status"] == "done"
+            return [json.dumps(e["result"], sort_keys=True)
+                    for e in client.stream_results(job["job_id"])]
+
+        with serving(tmp_path) as (daemon, client):
+            traced = served(daemon)
+            spans_path = daemon.spans.path
+        spans = read_spans(str(spans_path))
+        (cell,) = [s for s in spans if s.name == "cell"]
+        assert cell.attrs["worker"] != os.getpid()
+        steps = [s for s in spans if s.parent_id == cell.span_id]
+        names = [s.name for s in steps]
+        assert {"trace_decode", "simulate", "sim.measure"} <= set(names)
+        for step in steps:
+            assert cell.start_t <= step.start_t <= step.end_t <= cell.end_t
+
+        plain = ServeDaemon(
+            str(tmp_path / "plain-queue"), workers=1,
+            runner_kwargs=dict(target_ops=OPS,
+                               cache_dir=str(tmp_path / "plain-cache"),
+                               run_log=""))
+        plain.start()
+        try:
+            untraced = served(plain)
+        finally:
+            plain.stop(timeout=30)
+        assert traced == untraced
 
     def test_every_cell_span_has_exactly_one_parent(self, tmp_path):
         with serving(tmp_path) as (daemon, client):
