@@ -262,8 +262,8 @@ class ExperimentRunner:
     by that batch's ``jobs`` and is kept for later batches; it is
     replaced only after a worker kill or a broken pool (or when a batch
     asks for a different size).  :meth:`close` ends it.  A worker is a
-    fork of this process as of the pool's start: set ``REPRO_CHAOS``,
-    ``REPRO_TRACE_CACHE`` and any monkeypatch before the first batch.
+    fork of this process as of the pool's start: set ``REPRO_CHAOS``
+    and any monkeypatch before the first batch.
     """
 
     def __init__(
@@ -994,21 +994,6 @@ class ExperimentRunner:
             if inflight:
                 self._kill_pool()
             raise
-
-    def run_cell(self, workload: str, config: CoreConfig,
-                 seed: Optional[int] = None,
-                 retries: Optional[int] = None,
-                 ) -> Union[SimResult, FailedResult]:
-        """Reusable single-cell entry point with quarantine semantics.
-
-        Unlike :meth:`run` (which raises on failure), a cell that keeps
-        failing comes back as a structured :class:`FailedResult` — the
-        same retry/quarantine/cache machinery as :meth:`run_many`, for
-        hosts that execute one task at a time (e.g. the ``repro serve``
-        worker pool).
-        """
-        return self.run_many([(workload, config, seed)], jobs=1,
-                             retries=retries)[0]
 
     def run_seeds(self, workload: str, config: CoreConfig,
                   seeds: Sequence[int],

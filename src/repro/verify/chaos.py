@@ -236,7 +236,6 @@ class ChaosReport:
     cells: int
     expected_faults: Dict[str, int]
     corrupted_results: int
-    corrupted_traces: int
     quarantined: List[str] = field(default_factory=list)
     unexpected_quarantines: List[str] = field(default_factory=list)
     missing_quarantines: List[str] = field(default_factory=list)
@@ -261,8 +260,7 @@ class ChaosReport:
         return (
             f"chaos campaign {verdict}: {self.cells} cells, "
             f"faults injected [{faults}], "
-            f"{self.corrupted_results} result entries + "
-            f"{self.corrupted_traces} trace entries corrupted; "
+            f"{self.corrupted_results} result entries corrupted; "
             f"{len(self.quarantined)} quarantined, "
             f"{self.retries} retries, {self.timeouts} timeouts, "
             f"{self.pool_restarts} pool restarts, "
@@ -310,8 +308,7 @@ def run_campaign(
 
     1. a clean **serial** baseline of every (workload, arch) cell;
     2. pre-seed the chaos result cache with a few baseline entries and
-       corrupt them (truncated / garbage / zero-byte), corrupt a few
-       trace-cache files too;
+       corrupt them (truncated / garbage / zero-byte);
     3. the **chaos** run: parallel ``run_many`` with the fault spec
        exported to the workers;
     4. verdict: campaign completed, quarantine set == the deterministic
@@ -334,13 +331,8 @@ def run_campaign(
 
     owned_dir = work_dir is None
     root = Path(work_dir) if work_dir else Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    saved_env = {name: os.environ.get(name) for name in (ENV_VAR, "REPRO_TRACE_CACHE")}
+    saved_spec = os.environ.pop(ENV_VAR, None)
     try:
-        # isolate the trace cache so corruption cannot touch the real one
-        os.environ["REPRO_TRACE_CACHE"] = str(root / "traces")
-        os.environ.pop(ENV_VAR, None)
-        get_trace.cache_clear()
-
         tasks = [(w, config_for(arch)) for arch in arches for w in workloads]
         say(f"chaos: baseline — {len(tasks)} cells, serial")
         baseline = ExperimentRunner(
@@ -353,7 +345,7 @@ def run_campaign(
             for (w, c), r in zip(tasks, baseline_results)
         }
 
-        # pre-seed + corrupt some chaos-cache entries and trace files
+        # pre-seed + corrupt some chaos-cache entries
         chaos_cache = root / "chaos"
         chaos_cache.mkdir(parents=True, exist_ok=True)
         victims = sorted(Path(root / "baseline").glob("*.json"))[:6]
@@ -362,11 +354,6 @@ def run_campaign(
         corrupted_results = corrupt_files(
             [chaos_cache / victim.name for victim in victims]
         )
-        trace_victims = sorted((root / "traces").glob("*.trace"))[:4]
-        corrupted_traces = corrupt_files(trace_victims)
-        # drop in-process trace memoisation so forked workers (and this
-        # process) must re-read — and repair — the corrupted files
-        get_trace.cache_clear()
 
         say(f"chaos: fault run — spec {spec.encode()}")
         os.environ[ENV_VAR] = spec.encode()
@@ -395,7 +382,6 @@ def run_campaign(
             cells=len(tasks),
             expected_faults=expected_faults,
             corrupted_results=corrupted_results,
-            corrupted_traces=corrupted_traces,
             retries=runner.retries_performed,
             timeouts=runner.timeouts,
             pool_restarts=runner.pool_restarts,
@@ -421,12 +407,10 @@ def run_campaign(
         say("chaos: " + report.summary())
         return report
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        get_trace.cache_clear()
+        if saved_spec is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = saved_spec
         if owned_dir:
             shutil.rmtree(root, ignore_errors=True)
 
@@ -552,13 +536,8 @@ def run_distributed(
     owned_dir = work_dir is None
     root = Path(work_dir) if work_dir else Path(
         tempfile.mkdtemp(prefix="repro-distrib-chaos-"))
-    saved_env = {name: os.environ.get(name)
-                 for name in (ENV_VAR, "REPRO_TRACE_CACHE")}
+    saved_spec = os.environ.pop(ENV_VAR, None)
     try:
-        os.environ["REPRO_TRACE_CACHE"] = str(root / "traces")
-        os.environ.pop(ENV_VAR, None)
-        get_trace.cache_clear()
-
         spec = CampaignSpec(
             workloads=tuple(workloads), arches=tuple(arches),
             widths=tuple(widths), ops=target_ops, seed=seed,
@@ -694,11 +673,9 @@ def run_distributed(
         say("distrib chaos: " + report.summary())
         return report
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        get_trace.cache_clear()
+        if saved_spec is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = saved_spec
         if owned_dir:
             shutil.rmtree(root, ignore_errors=True)

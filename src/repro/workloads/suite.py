@@ -1,34 +1,20 @@
 """The default evaluation suite.
 
 The paper averages over SPEC CPU2006/2017; here the suite is the thirteen
-kernels in :mod:`repro.workloads.kernels`.  Traces are cached per
-``(name, target_ops, seed)`` because building a trace requires a functional
-execution, and every benchmark replays the same traces across many
-scheduler configurations.
-
-Two cache layers back :func:`get_trace`: an in-process ``lru_cache`` and
-an on-disk store under ``<repo>/.bench_cache/traces/`` (override with
-``REPRO_TRACE_CACHE``; set it to "" to disable).  The disk layer means a
-fresh process — in particular each worker of the parallel experiment
-runner — deserialises a trace instead of re-running the functional
-execution.  Entries are written atomically and a corrupt file is
-silently rebuilt.
+kernels in :mod:`repro.workloads.kernels`.  :func:`get_trace` memoises each
+trace per ``(name, target_ops, seed)`` in an in-process ``lru_cache``,
+because every benchmark replays the same traces across many scheduler
+configurations.  Nothing is persisted: rebuilding a trace by functional
+execution is cheaper than reading it back from disk, so each process —
+each pool worker included — builds the traces it simulates.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .kernels import KERNELS, build_trace
-from .serialization import (
-    FORMAT_VERSION,
-    TraceFormatError,
-    load_trace,
-    save_trace,
-)
 from .trace import Trace
 
 #: Kernels in the default suite, in report order.
@@ -45,49 +31,10 @@ SMOKE_NAMES: Tuple[str, ...] = (
 )
 
 
-def _trace_cache_dir() -> Optional[Path]:
-    """Directory for serialized traces, or ``None`` when disabled."""
-    root = os.environ.get(
-        "REPRO_TRACE_CACHE",
-        str(Path(__file__).resolve().parents[3] / ".bench_cache" / "traces"),
-    )
-    return Path(root) if root else None
-
-
-def _trace_cache_path(name: str, target_ops: int, seed: int) -> Optional[Path]:
-    cache_dir = _trace_cache_dir()
-    if cache_dir is None:
-        return None
-    return cache_dir / f"{name}-{target_ops}-{seed}-v{FORMAT_VERSION}.trace"
-
-
 @lru_cache(maxsize=128)
 def get_trace(name: str, target_ops: int = 20_000, seed: int = 7) -> Trace:
-    """Build (or fetch the cached) trace for one suite kernel.
-
-    Consults the in-process cache, then the disk cache, then runs the
-    functional execution (publishing the result to both layers).
-    """
-    path = _trace_cache_path(name, target_ops, seed)
-    if path is not None and path.exists():
-        try:
-            return load_trace(path)
-        except (TraceFormatError, ValueError, OSError):
-            # truncated / corrupt / unreadable: rebuild from scratch
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    trace = build_trace(name, target_ops=target_ops, seed=seed)
-    if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
-        except OSError:
-            pass  # a read-only cache dir must not break simulation
-    return trace
+    """Build (or fetch this process's cached) trace for one suite kernel."""
+    return build_trace(name, target_ops=target_ops, seed=seed)
 
 
 def default_suite(

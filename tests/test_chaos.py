@@ -9,18 +9,8 @@ import pytest
 from repro.analysis.runner import ExperimentRunner, FailedResult
 from repro.core.config import config_for
 from repro.verify.chaos import ENV_VAR, ChaosSpec, run_campaign
-from repro.workloads.suite import get_trace
 
 OPS = 500
-
-
-@pytest.fixture
-def trace_cache(tmp_path, monkeypatch):
-    """Isolate the trace disk cache (pool workers inherit the env)."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    get_trace.cache_clear()
-    yield
-    get_trace.cache_clear()
 
 
 def _runner(tmp_path, sub, **kw):
@@ -93,22 +83,21 @@ def _run_with_fault(tmp_path, monkeypatch, fault, **runner_kw):
 
 
 def test_transient_error_is_retried_to_identical_results(
-        tmp_path, monkeypatch, trace_cache):
+        tmp_path, monkeypatch):
     clean, runner, results = _run_with_fault(tmp_path, monkeypatch, "error")
     assert [_dumps(r) for r in results] == [_dumps(r) for r in clean]
     assert runner.retries_performed >= 1
     assert not runner.failures
 
 
-def test_killed_worker_pool_is_respawned(tmp_path, monkeypatch, trace_cache):
+def test_killed_worker_pool_is_respawned(tmp_path, monkeypatch):
     clean, runner, results = _run_with_fault(tmp_path, monkeypatch, "kill")
     assert [_dumps(r) for r in results] == [_dumps(r) for r in clean]
     assert runner.pool_restarts >= 1
     assert not runner.failures
 
 
-def test_hung_worker_is_timed_out_and_requeued(
-        tmp_path, monkeypatch, trace_cache):
+def test_hung_worker_is_timed_out_and_requeued(tmp_path, monkeypatch):
     clean, runner, results = _run_with_fault(
         tmp_path, monkeypatch, "hang", task_timeout=4.0)
     assert [_dumps(r) for r in results] == [_dumps(r) for r in clean]
@@ -116,7 +105,7 @@ def test_hung_worker_is_timed_out_and_requeued(
     assert not runner.failures
 
 
-def test_poisoned_cell_is_quarantined(tmp_path, monkeypatch, trace_cache):
+def test_poisoned_cell_is_quarantined(tmp_path, monkeypatch):
     tasks = _tasks("ooo")
     runner = _runner(tmp_path, "poison", retries=2)
     spec = _spec_hitting(runner, tasks, "poison", index=1, poison=0.4)
@@ -140,8 +129,7 @@ def test_poisoned_cell_is_quarantined(tmp_path, monkeypatch, trace_cache):
     assert runner.simulations_run == before
 
 
-def test_forced_deadlock_quarantines_with_snapshot(
-        tmp_path, monkeypatch, trace_cache):
+def test_forced_deadlock_quarantines_with_snapshot(tmp_path, monkeypatch):
     tasks = _tasks("ballerino")
     runner = _runner(tmp_path, "wedge")
     spec = _spec_hitting(runner, tasks, "wedge", index=0, wedge=0.4)
@@ -156,7 +144,7 @@ def test_forced_deadlock_quarantines_with_snapshot(
     assert "ROB head seq=0" in failed.error
 
 
-def test_failed_result_roundtrips_to_dict(tmp_path, monkeypatch, trace_cache):
+def test_failed_result_roundtrips_to_dict(tmp_path, monkeypatch):
     tasks = _tasks("ooo")
     runner = _runner(tmp_path, "dict", retries=0)
     spec = _spec_hitting(runner, tasks, "poison", index=2, poison=0.4)
@@ -187,7 +175,6 @@ def test_campaign_smoke(tmp_path):
     assert report.ok, report.full_report()
     assert report.cells == 4
     assert report.corrupted_results > 0
-    assert report.corrupted_traces > 0
     assert not report.mismatches
 
 

@@ -20,17 +20,8 @@ from repro.distrib import (
 )
 from repro.distrib.reconcile import CampaignDiff, CellStatus
 from repro.telemetry.runlog import RunLog
-from repro.workloads.suite import get_trace
 
 OPS = 400
-
-
-@pytest.fixture(autouse=True)
-def trace_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    get_trace.cache_clear()
-    yield
-    get_trace.cache_clear()
 
 
 def make_spec(n_shards=2, salt=1, **kw):

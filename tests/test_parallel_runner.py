@@ -1,5 +1,5 @@
-"""Parallel execution must be byte-identical to serial, and the caches
-(result + trace) must survive corruption and concurrent writers."""
+"""Parallel execution must be byte-identical to serial, and the result
+cache must survive corruption and concurrent writers."""
 
 import json
 import os
@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import sweep
 from repro.core.config import config_for
-from repro.workloads import suite as suite_mod
+from repro.workloads import build_trace
 from repro.workloads.suite import get_trace
 
 WORKLOADS = ("stream_triad", "pointer_chase", "histogram")
@@ -257,67 +257,30 @@ def test_no_leftover_tmp_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# trace disk cache
+# traces are built in the process that simulates them
 
 
-@pytest.fixture
-def trace_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+def test_get_trace_neither_reads_nor_writes_trace_files(tmp_path,
+                                                        monkeypatch):
+    """A garbage file where the retired on-disk trace cache kept this
+    trace stays untouched, in this process and in pool workers alike."""
+    cache = tmp_path / "traces"
+    cache.mkdir()
+    planted = cache / f"histogram-{OPS}-7-v1.trace"
+    planted.write_bytes(b"not a trace")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
     get_trace.cache_clear()
-    yield tmp_path / "traces"
-    get_trace.cache_clear()
-
-
-def test_trace_cache_roundtrip(trace_cache):
-    built = get_trace("histogram", OPS, 7)
-    files = list(trace_cache.glob("*.trace"))
-    assert len(files) == 1
-    get_trace.cache_clear()
-    loaded = get_trace("histogram", OPS, 7)  # now served from disk
-    assert len(loaded) == len(built)
-    assert all(a == b for a, b in zip(built, loaded))
-
-
-def test_trace_cache_corrupt_entry_rebuilt(trace_cache):
-    built = get_trace("histogram", OPS, 7)
-    entry = next(trace_cache.glob("*.trace"))
-    entry.write_text("not a trace")
-    get_trace.cache_clear()
-    rebuilt = get_trace("histogram", OPS, 7)
-    assert len(rebuilt) == len(built)
-    assert all(a == b for a, b in zip(built, rebuilt))
-
-
-def test_trace_cache_truncated_entry_rebuilt(trace_cache):
-    """A trace file cut off mid-write must rebuild, never crash."""
-    built = get_trace("histogram", OPS, 7)
-    entry = next(trace_cache.glob("*.trace"))
-    data = entry.read_bytes()
-    entry.write_bytes(data[: len(data) // 2])
-    get_trace.cache_clear()
-    rebuilt = get_trace("histogram", OPS, 7)
-    assert len(rebuilt) == len(built)
-    assert all(a == b for a, b in zip(built, rebuilt))
-    # the rebuild repaired the disk entry: a reload now serves it intact
-    get_trace.cache_clear()
-    reloaded = get_trace("histogram", OPS, 7)
-    assert all(a == b for a, b in zip(built, reloaded))
-
-
-def test_trace_cache_zero_byte_entry_rebuilt(trace_cache):
-    built = get_trace("histogram", OPS, 7)
-    entry = next(trace_cache.glob("*.trace"))
-    entry.write_bytes(b"")
-    get_trace.cache_clear()
-    rebuilt = get_trace("histogram", OPS, 7)
-    assert len(rebuilt) == len(built)
-    assert all(a == b for a, b in zip(built, rebuilt))
-
-
-def test_trace_cache_disabled(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "")
-    get_trace.cache_clear()
-    assert suite_mod._trace_cache_dir() is None
-    trace = get_trace("histogram", OPS, 7)
-    assert len(trace) == OPS
-    get_trace.cache_clear()
+    assert get_trace("histogram", OPS, 7) == build_trace(
+        "histogram", target_ops=OPS, seed=7)
+    tasks = [(w, config_for(a)) for w in ("histogram", "stream_triad")
+             for a in ("ooo", "ballerino")]
+    serial = _runner(tmp_path, "serial").run_many(tasks, jobs=1)
+    get_trace.cache_clear()  # the pool's workers must get_trace too
+    runner = _runner(tmp_path, "parallel")
+    try:
+        parallel = runner.run_many(tasks, jobs=2)
+    finally:
+        runner.close()
+    assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
+    assert list(cache.iterdir()) == [planted]
+    assert planted.read_bytes() == b"not a trace"

@@ -99,14 +99,11 @@ class TestCliLint:
 
 
 class TestDaemonEndpoint:
-    def test_metricsz_prometheus_lints_clean(self, tmp_path, monkeypatch):
+    def test_metricsz_prometheus_lints_clean(self, tmp_path):
         import urllib.request
 
         from repro.serve.daemon import ServeDaemon
-        from repro.workloads.suite import get_trace
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-        get_trace.cache_clear()
         daemon = ServeDaemon(
             str(tmp_path / "queue"), workers=1,
             runner_kwargs=dict(target_ops=300,
@@ -127,6 +124,5 @@ class TestDaemonEndpoint:
                 text = response.read().decode()
         finally:
             daemon.stop(timeout=30)
-            get_trace.cache_clear()
         assert lint_prometheus(text) == []
         assert "repro_serve_jobs_done_total 1" in text

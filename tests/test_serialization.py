@@ -98,23 +98,6 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="op 0 has seq 1000"):
             _shifted(trace, 1000).columns
 
-    def test_get_trace_rebuilds_a_misnumbered_cache_file(
-            self, tmp_path, monkeypatch):
-        from repro.workloads import get_trace
-        from repro.workloads.suite import _trace_cache_path
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        get_trace.cache_clear()
-        try:
-            path = _trace_cache_path("histogram", 900, 3)
-            good = build_trace("histogram", target_ops=900, seed=3)
-            save_trace(_shifted(good, 1000), path)
-            rebuilt = get_trace("histogram", 900, 3)
-            assert [op.seq for op in rebuilt] == list(range(len(good)))
-            assert load_trace(path) == good
-        finally:
-            get_trace.cache_clear()
-
 
 def _shifted(trace, offset):
     return Trace(trace.name,

@@ -25,21 +25,11 @@ from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import PROTOCOL_VERSION, expand_matrix
 from repro.telemetry import read_run_log
 from repro.verify.chaos import ENV_VAR, ChaosSpec
-from repro.workloads.suite import get_trace
 
 OPS = 500
 
 MATRIX = {"workloads": ["dotprod", "histogram"], "arches": ["ooo"],
           "seeds": [0, 1]}
-
-
-@pytest.fixture(autouse=True)
-def trace_cache(tmp_path, monkeypatch):
-    """Isolate the trace disk cache (pool workers inherit the env)."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    get_trace.cache_clear()
-    yield
-    get_trace.cache_clear()
 
 
 @contextlib.contextmanager

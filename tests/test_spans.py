@@ -31,18 +31,13 @@ from repro.telemetry.spans import (Span, SpanContext, SpanRecorder,
                                    derive_span_id, derive_trace_id,
                                    merge_spans, new_span_id, new_trace_id,
                                    read_spans, span_tree, spans_to_chrome)
-from repro.workloads.suite import get_trace
 
 OPS = 400
 
 
 @pytest.fixture(autouse=True)
-def trace_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+def spans_unset(monkeypatch):
     monkeypatch.delenv("REPRO_SPANS", raising=False)
-    get_trace.cache_clear()
-    yield
-    get_trace.cache_clear()
 
 
 # ---------------------------------------------------------------------------
