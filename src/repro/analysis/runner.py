@@ -28,10 +28,6 @@ Environment knobs:
 * ``REPRO_BENCH_OPS`` — dynamic micro-ops per workload trace (default 10000).
 * ``REPRO_BENCH_SEED`` — workload data seed (default 7).
 * ``REPRO_BENCH_CACHE`` — cache directory ("" disables the disk cache).
-* ``REPRO_BENCH_JOBS`` — default worker count for ``run_many`` (default 1).
-* ``REPRO_BENCH_TIMEOUT`` — per-task wall-clock timeout in seconds
-  (default 0 = no timeout).
-* ``REPRO_BENCH_RETRIES`` — attempts after the first failure (default 2).
 * ``REPRO_RUN_LOG`` — path of a JSONL campaign run-log (see
   :mod:`repro.telemetry.runlog`); empty/unset disables it.
 * ``REPRO_SPANS`` — path of a spans-JSONL trace file (see
@@ -64,9 +60,6 @@ from ..workloads.suite import SUITE_NAMES, get_trace
 
 DEFAULT_OPS = int(os.environ.get("REPRO_BENCH_OPS", "10000"))
 DEFAULT_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
-DEFAULT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-DEFAULT_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "0"))
-DEFAULT_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "2"))
 
 #: Base delay (seconds) for the exponential pool-respawn backoff.
 BACKOFF_BASE = 0.1
@@ -231,10 +224,11 @@ class ExperimentRunner:
         seed: Workload data seed.
         cache_dir: On-disk result cache ("" disables it; ``None`` uses
             ``$REPRO_BENCH_CACHE`` or the repo-local ``.bench_cache``).
-        jobs: Default worker count for :meth:`run_many`.
+        jobs: Default worker count for :meth:`run_many` (``None``: 1).
         task_timeout: Per-task wall-clock timeout (seconds) for parallel
-            batches; ``None``/0 disables it.
-        retries: Extra attempts a failing cell gets before quarantine.
+            batches; ``None``/0 (the default) disables it.
+        retries: Extra attempts a failing cell gets before quarantine
+            (``None``: 2).
         run_log: Path of a JSONL campaign run-log (see :mod:`repro.
             telemetry.runlog`); ``None`` uses ``$REPRO_RUN_LOG``, ""
             disables it.
@@ -284,12 +278,9 @@ class ExperimentRunner:
     ):
         self.target_ops = target_ops
         self.seed = seed
-        self.jobs = max(1, DEFAULT_JOBS if jobs is None else jobs)
-        self.task_timeout = (
-            (DEFAULT_TIMEOUT or None) if task_timeout is None
-            else (task_timeout or None)
-        )
-        self.retries = max(0, DEFAULT_RETRIES if retries is None else retries)
+        self.jobs = max(1, jobs or 1)
+        self.task_timeout = task_timeout or None
+        self.retries = 2 if retries is None else max(0, retries)
         if cache_dir is None:
             cache_dir = os.environ.get(
                 "REPRO_BENCH_CACHE",

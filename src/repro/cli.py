@@ -165,15 +165,14 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="disable the on-disk result cache")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for uncached simulations "
-                             "(default: $REPRO_BENCH_JOBS or 1)")
+                             "(default: 1)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="S",
                         help="wall-clock timeout per simulation in batch "
-                             "runs (default: $REPRO_BENCH_TIMEOUT or none)")
+                             "runs (default: none)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="retry budget per failing cell before "
-                             "quarantine (default: $REPRO_BENCH_RETRIES "
-                             "or 2)")
+                             "quarantine (default: 2)")
     parser.add_argument("--run-log", default=None, metavar="FILE",
                         help="append a structured JSONL campaign run-log "
                              "here (default: $REPRO_RUN_LOG)")

@@ -8,7 +8,6 @@ from .config import (
     config_for,
 )
 from .ifop import InFlightOp
-from .optable import OpTable
 from .pipeline import DeadlockError, Pipeline, SimulationDeadlock, simulate
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
 from .regready import ReadyFile
@@ -28,7 +27,6 @@ __all__ = [
     "SchedulerParams",
     "config_for",
     "InFlightOp",
-    "OpTable",
     "DeadlockError",
     "Pipeline",
     "SimulationDeadlock",

@@ -47,7 +47,6 @@ from ..telemetry.tracer import Tracer
 from ..workloads.trace import STOP_HALT, STOP_JMP, Trace
 from .config import CoreConfig
 from .ifop import InFlightOp
-from .optable import OpTable
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
 from .regready import ReadyFile
 from .rob import ReorderBuffer
@@ -192,17 +191,11 @@ class Pipeline:
         self.pending_redirect: Optional[int] = None  # seq of blocking branch
         self._last_ifetch_line = -1
 
-        # structure-of-arrays op storage: every InFlightOp this pipeline
-        # hands out is a recycled view over one row of this table, sized
-        # so steady state never grows it (ROB + front-end queues).
-        self.ops = OpTable(
-            config.rob_size + config.alloc_queue + 2 * config.decode_width
-        )
         self.decode_queue: Deque[InFlightOp] = deque()
         self.dispatch_queue: Deque[Tuple[int, InFlightOp]] = deque()
         self.inflight: Dict[int, InFlightOp] = {}
         self.wakeup = WakeupScoreboard(self.inflight, self.ready)
-        self._events: List[Tuple[int, int, int, str, InFlightOp, int]] = []
+        self._events: List[Tuple[int, int, int, str, InFlightOp]] = []
         self._event_counter = 0
         self._store_issued: Dict[int, int] = {}  # store seq -> issue cycle
         self._taint: Dict[int, int] = {}  # preg -> tainting load seq
@@ -222,28 +215,23 @@ class Pipeline:
         # O(1): the wakeup scoreboard keeps this count current (each
         # completion decrements its consumers during the completion phase
         # of the cycle it lands in — exactly when a per-src poll of the
-        # ReadyFile would have started returning True).  Reads the op
-        # table column directly: this is the hottest query in the model.
-        return ifop._t.wake_pending[ifop._i] == 0
+        # ReadyFile would have started returning True).
+        return ifop.wake_pending == 0
 
     def mdp_dep_satisfied(self, ifop: InFlightOp) -> bool:
         # O(1): set at dispatch iff the dependence store had not issued
         # yet, cleared by the store's issue broadcast.
-        return ifop._t.mdp_waiting[ifop._i] == 0
+        return not ifop.mdp_waiting
 
     def op_ready(self, ifop: InFlightOp, cycle: int) -> bool:
         """All register operands ready and any MDP dependence satisfied."""
-        table = ifop._t
-        slot = ifop._i
-        return table.wake_pending[slot] == 0 and table.mdp_waiting[slot] == 0
+        return ifop.wake_pending == 0 and not ifop.mdp_waiting
 
     def try_grant(self, ifop: InFlightOp, cycle: int) -> bool:
         """Request this op's issue port; True (and consumed) if granted."""
-        table = ifop._t
-        slot = ifop._i
-        seq = table.seq[slot]
+        seq = ifop.seq
         cols = self.cols
-        return self.ports.grant(table.port[slot], table.op_class[slot], cycle,
+        return self.ports.grant(ifop.port, ifop.op_class, cycle,
                                 cols.latency[seq], cols.pipelined[seq])
 
     def producer_incomplete(self, preg: int, cycle: int) -> bool:
@@ -313,8 +301,7 @@ class Pipeline:
         number of one-cycle steps would have produced.  Returns False
         once the whole trace has committed.
 
-        Raises :class:`DeadlockError` exactly as :meth:`run` does; a
-        driver stepping several pipelines catches it per pipeline.
+        Raises :class:`DeadlockError` exactly as :meth:`run` does.
         """
         if self.commit_count >= self._total:
             return False
@@ -388,8 +375,7 @@ class Pipeline:
         if events and events[0][0] <= cycle + 1:
             return False
         entries = self.rob._entries
-        table = self.ops
-        if entries and table.completed[entries[0]._i]:
+        if entries and entries[0].completed:
             return False
         if (self.pending_redirect is None and cycle >= self.fetch_resume_at
                 and self.fetch_index < self._total
@@ -397,10 +383,10 @@ class Pipeline:
             return False
         queue = self.decode_queue
         if queue:
-            slot = queue[0]._i
-            if table.decode_cycle[slot] + self.config.fetch_latency > cycle:
+            head = queue[0]
+            if head.decode_cycle + self.config.fetch_latency > cycle:
                 return True
-            seq = table.seq[slot]
+            seq = head.seq
             return not self.rename.can_rename(self.cols.dest[seq],
                                               self.cols.dest_fp[seq])
         return True
@@ -458,7 +444,7 @@ class Pipeline:
         if self.dispatch_queue:
             ends.append(self.dispatch_queue[0][0])
         if self.decode_queue:
-            ends.append(self.ops.decode_cycle[self.decode_queue[0]._i]
+            ends.append(self.decode_queue[0].decode_cycle
                         + self.config.fetch_latency)
         if self.attribution is not None:
             ends.append(self.attribution.recovery_until)
@@ -566,68 +552,51 @@ class Pipeline:
     # ==================================================================
     def _commit(self) -> None:
         entries = self.rob._entries
-        if not entries:
-            return
-        table = self.ops
-        completed = table.completed
-        if not completed[entries[0]._i]:
+        if not entries or not entries[0].completed:
             return
         tracer = self.tracer
         record = self.stats.breakdown.record
         for _ in range(self.config.commit_width):
-            if not entries or not completed[entries[0]._i]:
+            if not entries or not entries[0].completed:
                 return
             ifop = entries.popleft()
-            slot = ifop._i
-            seq = table.seq[slot]
+            seq = ifop.seq
             if tracer is not None:
                 tracer.emit(self.cycle, seq, "commit")
-            if table.is_store[slot]:
+            if ifop.is_store:
                 entry = self.lsu.commit_store(seq)
                 # retire the store's write into the data cache
                 self.hier.access_data(
-                    entry.addr, self.cycle, is_write=True,
-                    pc=table.op[slot].pc,
+                    entry.addr, self.cycle, is_write=True, pc=ifop.op.pc,
                 )
-            elif table.is_load[slot]:
+            elif ifop.is_load:
                 self.lsu.commit_load(seq)
-            prev_dest = table.prev_dest_preg[slot]
+            prev_dest = ifop.prev_dest_preg
             if prev_dest is not None:
                 self.rename.commit_mapping(prev_dest)
                 self.ready.release(prev_dest)
-            record(table.klass[slot], table.decode_cycle[slot],
-                   table.dispatch_cycle[slot], table.ready_cycle[slot],
-                   table.issue_cycle[slot])
+            record(ifop.klass, ifop.decode_cycle, ifop.dispatch_cycle,
+                   ifop.ready_cycle, ifop.issue_cycle)
             self.energy["rob_commit"] += 1
             self._store_issued.pop(seq, None)
             self.inflight.pop(seq, None)
             self.commit_count += 1
             self.stats.committed += 1
-            table.free(ifop)  # recycle the slot (and the view)
 
     # ==================================================================
     # completion / execution events
     # ==================================================================
     def _schedule(self, when: int, ifop: InFlightOp, kind: str) -> None:
         self._event_counter += 1
-        table = ifop._t
-        slot = ifop._i
         heapq.heappush(
-            self._events,
-            (when, table.seq[slot], self._event_counter, kind, ifop,
-             table.gen[slot]),
+            self._events, (when, ifop.seq, self._event_counter, kind, ifop)
         )
 
     def _process_events(self) -> None:
         events = self._events
-        ops_gen = self.ops.gen
         while events and events[0][0] <= self.cycle:
-            when, seq, _, kind, ifop, gen = heapq.heappop(events)
-            # Stale events are detected by identity *and* generation:
-            # with recycled views, a squashed-and-refetched op can alias
-            # the very object this event captured, but its slot was
-            # re-allocated so the generation stamp moved on.
-            if self.inflight.get(seq) is not ifop or ops_gen[ifop._i] != gen:
+            when, seq, _, kind, ifop = heapq.heappop(events)
+            if self.inflight.get(seq) is not ifop:
                 continue  # squashed-and-refetched: stale event
             if kind == "exec":
                 self._complete(ifop, when)
@@ -637,14 +606,12 @@ class Pipeline:
                 self._store_agu(ifop, when)
 
     def _complete(self, ifop: InFlightOp, when: int) -> None:
-        table = ifop._t
-        slot = ifop._i
-        table.completed[slot] = 1
-        table.complete_cycle[slot] = when
+        ifop.completed = True
+        ifop.complete_cycle = when
         tracer = self.tracer
         if tracer is not None:
-            tracer.emit(when, table.seq[slot], "writeback")
-        dest_preg = table.dest_preg[slot]
+            tracer.emit(when, ifop.seq, "writeback")
+        dest_preg = ifop.dest_preg
         if dest_preg is not None:
             self.ready.mark_ready(dest_preg, when)
             self.energy["prf_write"] += 1
@@ -653,9 +620,9 @@ class Pipeline:
             for waiter in self.wakeup.wake(dest_preg, when):
                 scheduler.on_op_ready(waiter, when)
             if tracer is not None:
-                tracer.emit(when, table.seq[slot], "wakeup", f"p{dest_preg}")
+                tracer.emit(when, ifop.seq, "wakeup", f"p{dest_preg}")
         self.scheduler.on_complete(ifop, when)
-        if table.mispredicted[slot] and table.is_branch[slot]:
+        if ifop.mispredicted and ifop.is_branch:
             # the front end was stopped at this branch; redirect resolves now
             self.fetch_resume_at = max(
                 self.fetch_resume_at, when + self.config.recovery_penalty
@@ -676,8 +643,8 @@ class Pipeline:
             self.stats.energy_events["wrongpath_ops"] += wrong_path_ops
 
     def _load_agu(self, ifop: InFlightOp, when: int) -> None:
-        seq = ifop._t.seq[ifop._i]
-        op = self.trace.ops[seq]
+        seq = ifop.seq
+        op = ifop.op
         addr = op.mem_addr
         forward = self.lsu.load_executing(seq, addr, when)
         self.energy["lsq_search"] += 1
@@ -700,14 +667,12 @@ class Pipeline:
         self._schedule(max(complete_at, when + 1), ifop, "exec")
 
     def _store_agu(self, ifop: InFlightOp, when: int) -> None:
-        table = ifop._t
-        slot = ifop._i
-        seq = table.seq[slot]
-        op = self.trace.ops[seq]
+        seq = ifop.seq
+        op = ifop.op
         violators = self.lsu.store_address_ready(seq, op.mem_addr, when)
         self.lsu.store_data_ready(seq, when)
-        table.completed[slot] = 1
-        table.complete_cycle[slot] = when
+        ifop.completed = True
+        ifop.complete_cycle = when
         if self.tracer is not None:
             self.tracer.emit(when, seq, "execute", "agu")
             self.tracer.emit(when, seq, "writeback")
@@ -728,49 +693,45 @@ class Pipeline:
 
     def _do_issue(self, ifop: InFlightOp) -> None:
         cycle = self.cycle
-        table = ifop._t
-        slot = ifop._i
-        table.issued[slot] = 1
-        table.issue_cycle[slot] = cycle
-        src_pregs = table.src_pregs[slot]
+        ifop.issued = True
+        ifop.issue_cycle = cycle
+        src_pregs = ifop.src_pregs
         self.stats.issued += 1
-        self.ports.issues[table.port[slot]] += 1
+        self.ports.issues[ifop.port] += 1
         energy = self.energy
         energy["prf_read"] += len(src_pregs)
-        energy[_FU_EVENTS[table.op_class[slot]]] += 1
+        energy[_FU_EVENTS[ifop.op_class]] += 1
         # reconstruct when the op actually became ready (for Fig. 3c/12)
-        ready_at = table.dispatch_cycle[slot]
+        ready_at = ifop.dispatch_cycle
         ready_cycle = self.ready.ready_cycle
         for preg in src_pregs:
             at = ready_cycle(preg)
             if at > ready_at:
                 ready_at = at
-        dep = table.mdp_dep_seq[slot]
+        dep = ifop.mdp_dep_seq
         if dep is not None and dep in self._store_issued:
             ready_at = max(ready_at, self._store_issued[dep])
-        table.ready_cycle[slot] = ready_at if ready_at < cycle else cycle
+        ifop.ready_cycle = ready_at if ready_at < cycle else cycle
         if self.tracer is not None:
-            seq = table.seq[slot]
-            self.tracer.emit(cycle, seq, "issue", f"port{table.port[slot]}")
-            if not (table.is_load[slot] or table.is_store[slot]):
+            self.tracer.emit(cycle, ifop.seq, "issue", f"port{ifop.port}")
+            if not (ifop.is_load or ifop.is_store):
                 self.tracer.emit(
-                    cycle + 1, seq, "execute",
-                    OP_CLASSES[table.op_class[slot]].name.lower(),
+                    cycle + 1, ifop.seq, "execute",
+                    OP_CLASSES[ifop.op_class].name.lower(),
                 )
 
-        if table.is_load[slot]:
+        if ifop.is_load:
             self._schedule(cycle + 1, ifop, "load_agu")
-        elif table.is_store[slot]:
-            seq = table.seq[slot]
+        elif ifop.is_store:
+            seq = ifop.seq
             if self.mdp is not None:
-                self.mdp.store_issued(table.op[slot].pc, seq)
+                self.mdp.store_issued(ifop.op.pc, seq)
             self._store_issued[seq] = cycle
             for waiter in self.wakeup.store_issued(seq):
                 self.scheduler.on_op_ready(waiter, cycle)
             self._schedule(cycle + 1, ifop, "store_agu")
         else:
-            self._schedule(cycle + self.cols.latency[table.seq[slot]], ifop,
-                           "exec")
+            self._schedule(cycle + self.cols.latency[ifop.seq], ifop, "exec")
 
     # ==================================================================
     # dispatch
@@ -781,21 +742,19 @@ class Pipeline:
             return
         cycle = self.cycle
         dispatched = 0
-        table = self.ops
         energy = self.energy
         width = self.config.decode_width
         rob = self.rob
         rob_entries = rob._entries
         while queue and dispatched < width:
             available_at, ifop = queue[0]
-            slot = ifop._i
             rob_full = len(rob_entries) >= rob.size
             if available_at > cycle or rob_full:
                 if rob_full:
                     self._dispatch_blocked("rob_full")
                 return
-            is_load = table.is_load[slot]
-            is_store = table.is_store[slot]
+            is_load = ifop.is_load
+            is_store = ifop.is_store
             if is_load and self.lsu.lq_full():
                 self._dispatch_blocked("lq_full")
                 return
@@ -806,18 +765,18 @@ class Pipeline:
                 self._dispatch_blocked("iq_full")
                 return
             queue.popleft()
-            table.dispatch_cycle[slot] = cycle
-            seq = table.seq[slot]
+            ifop.dispatch_cycle = cycle
+            seq = ifop.seq
             if self.tracer is not None:
                 self.tracer.emit(cycle, seq, "dispatch")
             rob_entries.append(ifop)
             if len(rob_entries) > rob.max_occupancy:
                 rob.max_occupancy = len(rob_entries)
             if is_load:
-                self.lsu.allocate_load(seq, table.op[slot].pc)
+                self.lsu.allocate_load(seq, ifop.op.pc)
                 energy["lsq_write"] += 1
             elif is_store:
-                self.lsu.allocate_store(seq, table.op[slot].pc)
+                self.lsu.allocate_store(seq, ifop.op.pc)
                 energy["lsq_write"] += 1
             # MDP is consulted here, adjacent to steering (the paper does
             # both alongside rename; keeping them in the same stage stops
@@ -825,12 +784,12 @@ class Pipeline:
             # hint before this op's steering decision reads it)
             if self.mdp is not None and (is_load or is_store):
                 if is_store:
-                    dep = self.mdp.store_dispatched(table.op[slot].pc, seq)
+                    dep = self.mdp.store_dispatched(ifop.op.pc, seq)
                 else:
-                    dep = self.mdp.load_dispatched(table.op[slot].pc)
+                    dep = self.mdp.load_dispatched(ifop.op.pc)
                 energy["mdp_access"] += 1
                 if dep is not None and self.commit_count <= dep < seq:
-                    table.mdp_dep_seq[slot] = dep
+                    ifop.mdp_dep_seq = dep
                     if dep not in self._store_issued:
                         self.wakeup.register_mdp(ifop)
             self.scheduler.insert(ifop, cycle)
@@ -849,27 +808,24 @@ class Pipeline:
     def _classify(self, ifop: InFlightOp) -> None:
         """Tag the op Ld / LdC / Rst at dispatch time (paper Fig. 3c)."""
         taint = self._taint
-        table = ifop._t
-        slot = ifop._i
-        dest_preg = table.dest_preg[slot]
-        if table.is_load[slot]:
-            table.klass[slot] = "Ld"
+        dest_preg = ifop.dest_preg
+        if ifop.is_load:
+            ifop.klass = "Ld"
             if dest_preg is not None:
-                taint[dest_preg] = table.seq[slot]
+                taint[dest_preg] = ifop.seq
             return
         alive: Optional[int] = None
         if taint:
             inflight = self.inflight
-            completed = table.completed
-            for preg in table.src_pregs[slot]:
+            for preg in ifop.src_pregs:
                 load_seq = taint.get(preg)
                 if load_seq is None:
                     continue
                 producer = inflight.get(load_seq)
-                if producer is not None and not completed[producer._i]:
+                if producer is not None and not producer.completed:
                     alive = load_seq
                     break
-        table.klass[slot] = "LdC" if alive is not None else "Rst"
+        ifop.klass = "LdC" if alive is not None else "Rst"
         if dest_preg is not None:
             if alive is not None:
                 taint[dest_preg] = alive
@@ -882,7 +838,6 @@ class Pipeline:
             return
         cycle = self.cycle
         renamed = 0
-        table = self.ops
         fetch_latency = self.config.fetch_latency
         rename_latency = self.config.rename_latency
         width = self.config.decode_width
@@ -892,10 +847,9 @@ class Pipeline:
         dests = cols.dest
         while queue and renamed < width:
             ifop = queue[0]
-            slot = ifop._i
-            if table.decode_cycle[slot] + fetch_latency > cycle:
+            if ifop.decode_cycle + fetch_latency > cycle:
                 return
-            seq = table.seq[slot]
+            seq = ifop.seq
             dest = dests[seq]
             fp = cols.dest_fp[seq]
             if not rename.can_rename(dest, fp):
@@ -904,20 +858,18 @@ class Pipeline:
             queue.popleft()
             src_pregs, dest_preg, prev = rename.rename(cols.srcs[seq], dest,
                                                        fp)
-            table.src_pregs[slot] = src_pregs
-            table.dest_preg[slot] = dest_preg
-            table.prev_dest_preg[slot] = prev
+            ifop.src_pregs = src_pregs
+            ifop.dest_preg = dest_preg
+            ifop.prev_dest_preg = prev
             raw_dest = cols.raw_dest[seq]
-            table.dest_arch[slot] = raw_dest if raw_dest >= 0 else None
+            ifop.dest_arch = raw_dest if raw_dest >= 0 else None
             if dest_preg is not None:
                 self.ready.mark_pending(dest_preg)
             self.wakeup.register(ifop, cycle)
-            table.port[slot] = self.ports.assign(table.op_class[slot])
+            ifop.port = self.ports.assign(ifop.op_class)
             self._classify(ifop)
             if self.tracer is not None:
-                self.tracer.emit(
-                    cycle, table.seq[slot], "rename", table.klass[slot]
-                )
+                self.tracer.emit(cycle, seq, "rename", ifop.klass)
             self.energy["rename"] += 1
             dispatch_queue.append((cycle + rename_latency, ifop))
             renamed += 1
@@ -941,7 +893,6 @@ class Pipeline:
         width = self.config.decode_width
         alloc_queue = self.config.alloc_queue
         tracer = self.tracer
-        ops = self.ops
         inflight = self.inflight
         stats = self.stats
         energy = self.energy
@@ -956,7 +907,7 @@ class Pipeline:
                 if extra > 0:
                     self.fetch_resume_at = cycle + extra
                     return  # I-cache miss: stall before consuming the op
-            ifop = ops.alloc(seq, op, cycle, cols, seq)
+            ifop = InFlightOp(seq, op, cycle, cols, seq)
             inflight[seq] = ifop
             if tracer is not None:
                 tracer.note_op(seq, op.pc, op.opcode.name)
@@ -987,7 +938,7 @@ class Pipeline:
         if not direction_ok:
             # full misprediction: fetch stops until the branch executes
             self.stats.branch_mispredicts += 1
-            ifop._t.mispredicted[ifop._i] = 1
+            ifop.mispredicted = True
             self.pending_redirect = op.seq
             return False
         if op.taken:
@@ -1026,7 +977,6 @@ class Pipeline:
             self.ports.unassign(ifop.port)
             self.energy["rat_recover"] += 1
             self.inflight.pop(ifop.seq, None)
-            self.ops.free(ifop)
         self.decode_queue = deque(
             ifop for ifop in self.decode_queue if ifop.seq < from_seq
         )
@@ -1041,7 +991,6 @@ class Pipeline:
                 self.ports.unassign(ifop.port)
             self.energy["rat_recover"] += 1
             self.inflight.pop(ifop.seq, None)
-            self.ops.free(ifop)
         # 3) scheduler, LSQ, and MDP.  The MDP sweep covers both squashed
         #    stores (their LFST entries die, whatever their pc) and the
         #    stale-reservation case: an MDA-steered load squashed while
@@ -1054,12 +1003,11 @@ class Pipeline:
         self._store_issued = {
             seq: cyc for seq, cyc in self._store_issued.items() if seq < from_seq
         }
-        # 4) drop stale inflight entries for anything younger — this is
-        #    where decode-queue ops (never renamed) give their slot back.
-        #    Events/wakeup entries are invalidated by identity+generation,
-        #    but the map must not leak and slots must be recycled.
+        # 4) drop stale inflight entries for anything younger (the
+        #    decode-queue ops, never renamed).  Events and wakeup entries
+        #    are invalidated by identity, but the map must not leak.
         for seq in [s for s in self.inflight if s >= from_seq]:
-            self.ops.free(self.inflight.pop(seq))
+            del self.inflight[seq]
         # 5) refetch from the squashed load after the recovery penalty
         self.fetch_index = from_seq
         self.fetch_resume_at = max(
@@ -1095,8 +1043,9 @@ def simulate(
     simulate_sampled`) — this is the single dispatch point through
     which the experiment runner, sweeps, and the serve worker pool
     inherit sampled execution.  ``phase_hook`` (see :class:`~repro.
-    core.sampling.SampledSimulation`) observes the sampled phase
-    machine; it is ignored on full-detail runs, which have no phases.
+    core.sampling.SampledSimulation`) observes the sampled run's phases
+    (fast-forward, warm-up, measure); it is ignored on full-detail
+    runs, which have none.
     Telemetry (tracer, stall attribution, interval sampler) attaches to
     a :class:`Pipeline` built directly, which always runs full detail.
     """

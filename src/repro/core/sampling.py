@@ -12,19 +12,18 @@ become affordable (ROADMAP item 2):
   memory-dependence predictor's LFST consistent (SSIT itself only
   learns from order violations, which are a timing phenomenon — it is
   warmed by the detailed windows and *carried* across the gaps).
-* :class:`SampledSimulation` alternates fast-forward / detailed-warmup /
-  measured windows through a ``begin()/step()/finalize()`` phase
-  machine, the same three calls it uses to drive each window's
-  :class:`~repro.core.pipeline.Pipeline`.  Each window runs a fresh
-  pipeline over a seq-renumbered subtrace but *shares* the warmed
-  front end / hierarchy / MDP and continues the global clock
+* :meth:`SampledSimulation.run` alternates fast-forward gaps with
+  detailed windows in one loop: each window steps a fresh
+  :class:`~repro.core.pipeline.Pipeline` over a seq-renumbered subtrace
+  through its warm-up and its measured ops.  Every window *shares* the
+  warmed front end / hierarchy / MDP and continues the global clock
   (``Pipeline.begin(start_cycle=...)``) so absolute-cycle cache state
   stays meaningful.
-* :meth:`SampledSimulation.finalize` extrapolates whole-run statistics
-  from the measured windows — IPC/cycles via the pooled CPI, event
-  counters by the measured-op fraction — with per-metric Student-t
-  confidence intervals, onto a :class:`~repro.core.stats.SimResult`
-  flagged ``sampled=True``.
+* The run then extrapolates whole-run statistics from the measured
+  windows — IPC/cycles via the pooled CPI, event counters by the
+  measured-op fraction — with per-metric Student-t confidence
+  intervals, onto a :class:`~repro.core.stats.SimResult` flagged
+  ``sampled=True``.
 
 Degenerate configs are exact: when ``sample_window`` covers the whole
 trace (``sample_period = ∞`` semantics — never fast-forward), the run
@@ -232,17 +231,16 @@ def _delta_map(end: Dict, base: Dict) -> Dict:
 
 
 class SampledSimulation:
-    """Periodic-sampling driver with the Pipeline phase-machine API.
+    """Periodic-sampling driver: fast-forward gaps, detailed windows.
 
-    ``begin(max_cycles)`` / ``step() -> bool`` / ``finalize() ->
-    SimResult`` mirror :class:`~repro.core.pipeline.Pipeline`.  One
-    ``step()`` advances either one detailed step of the current window
-    pipeline (a cycle or a skipped quiet stretch) or one whole
-    fast-forward gap.
+    :meth:`run` walks the trace once.  Each gap is one
+    :class:`FastForward` advance; each window is a fresh
+    :class:`~repro.core.pipeline.Pipeline` over the next ops, stepped
+    through ``warmup_cycles`` of detailed warm-up and then until
+    ``sample_window`` more ops commit.
     """
 
-    def __init__(self, trace: Trace, config: CoreConfig,
-                 scheduler_factory=None, phase_hook=None):
+    def __init__(self, trace: Trace, config: CoreConfig, phase_hook=None):
         if config.sample_period <= 0:
             raise ValueError("SampledSimulation needs sample_period > 0")
         if config.sample_window <= 0:
@@ -253,7 +251,6 @@ class SampledSimulation:
             raise ValueError("ff_width must be positive")
         self.trace = trace
         self.config = config
-        self._factory = scheduler_factory
         self.frontend = FrontEnd()
         self.hier = MemoryHierarchy(config.hierarchy)
         self.mdp: Optional[StoreSetPredictor] = (
@@ -265,22 +262,14 @@ class SampledSimulation:
         self.windows: List[Dict] = []
         self.samples: List[Dict] = []
         self.warmup_ops = 0
-        #: whole-trace window: run one exact full-detail pipeline
-        self._exact = config.sample_window >= len(trace)
-        self._pipe: Optional[Pipeline] = None
         #: nullable phase observer, called with ``(old_phase,
-        #: new_phase)`` at every transition of the phase machine
-        #: (idle/ff/warmup/measure/exact/done).  Span tracing hangs
-        #: ``sim.ff`` / ``sim.warmup`` / ``sim.measure`` spans off it;
-        #: ``None`` (the default) costs one attribute check per
-        #: *transition*, never per step.
+        #: new_phase)`` at every phase change (idle/ff/warmup/measure/
+        #: exact/done).  Span tracing hangs ``sim.ff`` / ``sim.warmup``
+        #: / ``sim.measure`` spans off it; ``None`` (the default) costs
+        #: one attribute check per *change*, never per step.
         self.phase_hook = phase_hook
         self._phase = "idle"
-        self._cursor = 0  # trace ops consumed (committed or skipped)
-        self._next_start = 0  # where the next measured window begins
-        self._ff_dirty = False  # hierarchy timing skewed by fast-forward
 
-    # -- phase machine -------------------------------------------------
     def _set_phase(self, new_phase: str) -> None:
         old_phase = self._phase
         if new_phase == old_phase:
@@ -289,130 +278,119 @@ class SampledSimulation:
         if self.phase_hook is not None:
             self.phase_hook(old_phase, new_phase)
 
-    def begin(self, max_cycles: int = 50_000_000) -> None:
-        self._max_cycles = max_cycles
-        if self._exact:
-            self._pipe = Pipeline(
-                self.trace, self.config, scheduler_factory=self._factory,
-                frontend=self.frontend, hierarchy=self.hier, mdp=self.mdp,
-            )
-            self._pipe.begin(max_cycles)
-            self._set_phase("exact")
-            return
-        self._advance_phase()
-
-    def step(self) -> bool:
-        phase = self._phase
-        if phase == "done":
-            return False
-        if phase == "ff":
-            gap = min(self._next_start, len(self.trace)) - self._cursor
-            self.cycle = self.ff.advance(gap, self.cycle)
-            self._ff_dirty = True
-            self._cursor += gap
-            if self.cycle > self._max_cycles:
-                raise SimulationDeadlock(
-                    f"{self.config.name}/{self.trace.name}: max_cycles "
-                    f"({self._max_cycles}) exceeded during fast-forward")
-            self._advance_phase()
-            return self._phase != "done"
-        pipe = self._pipe
-        alive = pipe.step()
-        self.cycle = pipe.cycle
-        if phase == "exact":
-            if not alive:
-                self._set_phase("done")
-            return alive
-        if phase == "warmup":
-            if not alive:
-                # subtrace exhausted before warmup ended (trace tail):
-                # measure the whole window, warmup included
-                self._end_window(early=True)
-            elif pipe.cycle >= self._warmup_until:
-                self._begin_measure()
-            return self._phase != "done"
-        # phase == "measure"
-        if not alive or pipe.commit_count >= self._measure_target:
-            self._end_window(early=False)
-        return self._phase != "done"
-
     def run(self, max_cycles: int = 50_000_000) -> SimResult:
-        self.begin(max_cycles)
-        while self.step():
-            pass
-        return self.finalize()
+        """Simulate the trace; return the extrapolated result.
 
-    # -- window lifecycle ----------------------------------------------
-    def _advance_phase(self) -> None:
+        A window that covers the whole trace runs one exact full-detail
+        pipeline instead.  ``max_cycles`` is an absolute ceiling on the
+        global clock, fast-forward included.
+        """
         total = len(self.trace)
-        if self._cursor >= total:
-            self._set_phase("done")
-            return
-        if self._cursor < self._next_start:
-            self._set_phase("ff")
-            return
-        self._start_window()
+        if self.config.sample_window >= total:
+            return self._run_exact(max_cycles)
+        period = self.config.sample_period
+        cursor = 0  # trace ops consumed (committed or skipped)
+        next_start = 0  # where the next measured window begins
+        while cursor < total:
+            gap = min(next_start, total) - cursor
+            if gap > 0:
+                self._set_phase("ff")
+                self.cycle = self.ff.advance(gap, self.cycle)
+                cursor += gap
+                if self.cycle > max_cycles:
+                    raise SimulationDeadlock(
+                        f"{self.config.name}/{self.trace.name}: max_cycles "
+                        f"({max_cycles}) exceeded during fast-forward")
+                if cursor >= total:
+                    break
+                # Functional warming leaves the hierarchy with the right
+                # content but fast-forward-compressed timing (misses
+                # queued behind full MSHRs complete far in the "future");
+                # quiesce it so the window starts from a warm, idle
+                # memory system.  Between back-to-back windows the
+                # in-flight state is real and is kept.
+                self.hier.settle(self.cycle)
+            committed = self._window(cursor, max_cycles)
+            next_start = cursor + max(period, committed)
+            cursor += committed
+        self._set_phase("done")
+        return self._extrapolate()
 
-    def _start_window(self) -> None:
+    def _run_exact(self, max_cycles: int) -> SimResult:
+        self._set_phase("exact")
+        pipe = Pipeline(self.trace, self.config, frontend=self.frontend,
+                        hierarchy=self.hier, mdp=self.mdp)
+        result = pipe.run(max_cycles)
+        self.cycle = pipe.cycle
+        self._set_phase("done")
+        result.sampled = True
+        result.sampling = {
+            "exact": True,
+            "windows": 1,
+            "measured_ops": result.stats.committed,
+            "measured_cycles": result.stats.cycles,
+            "ff_ops": 0,
+            "ff_warmed_ops": 0,
+            "ff_cycles": 0,
+            "warmup_ops": 0,
+            "knobs": self._knobs(),
+            "estimates": {},
+        }
+        return result
+
+    def _window(self, start: int, max_cycles: int) -> int:
+        """Run one detailed window from trace op ``start``.
+
+        Appends its record to :attr:`windows` (and its sample to
+        :attr:`samples`) and returns the ops its pipeline committed.
+        """
         config = self.config
-        start = self._cursor
-        # Functional warming leaves the hierarchy with the right content
-        # but fast-forward-compressed timing (misses queued behind full
-        # MSHRs complete far in the "future"); quiesce it so the window
-        # starts from a warm, idle memory system.  Only after an actual
-        # fast-forward stretch — between back-to-back windows the
-        # in-flight state is real and must be kept.
-        if self._ff_dirty:
-            self.hier.settle(self.cycle)
-            self._ff_dirty = False
         # op budget: everything the warmup phase could commit plus the
         # measured window itself (capped by the remaining trace)
         budget = (config.sample_window
                   + config.warmup_cycles * config.commit_width)
-        window_trace = subtrace(self.trace, start, budget)
         pipe = Pipeline(
-            window_trace, config, scheduler_factory=self._factory,
+            subtrace(self.trace, start, budget), config,
             frontend=self.frontend, hierarchy=self.hier, mdp=self.mdp,
         )
-        pipe.begin(self._max_cycles, start_cycle=self.cycle)
-        self._pipe = pipe
-        self._window_start_op = start
-        self._warmup_until = self.cycle + config.warmup_cycles
+        pipe.begin(max_cycles, start_cycle=self.cycle)
+        warmup_until = self.cycle + config.warmup_cycles
         # measurement starts at exactly this cycle: a quiet-stretch jump
         # must stop there (Pipeline.observe_at), not overshoot it
-        pipe.observe_at = self._warmup_until
-        self._start_base = _snapshot(pipe)
-        self._base: Optional[Dict] = None
-        self._sampler = IntervalSampler(1 << 60)  # manual takes only
-        self._sampler.take(pipe)
-        if config.warmup_cycles > 0:
+        pipe.observe_at = warmup_until
+        base = _snapshot(pipe)
+        sampler = IntervalSampler(1 << 60)  # manual takes only
+        sampler.take(pipe)
+        measured = config.warmup_cycles == 0
+        if not measured:
             self._set_phase("warmup")
-        else:
-            self._begin_measure()
-
-    def _begin_measure(self) -> None:
-        pipe = self._pipe
-        pipe.observe_at = None
-        self._base = _snapshot(pipe)
-        self._sampler.take(pipe)
-        self.warmup_ops += pipe.commit_count
-        self._measure_target = pipe.commit_count + self.config.sample_window
-        self._set_phase("measure")
-
-    def _end_window(self, early: bool) -> None:
-        pipe = self._pipe
-        base = self._start_base if (early or self._base is None) else self._base
+            while pipe.step():
+                if pipe.cycle >= warmup_until:
+                    measured = True
+                    break
+            # else the subtrace ran out during warm-up (trace tail):
+            # the whole window is measured, warm-up included
+        if measured:
+            pipe.observe_at = None
+            base = _snapshot(pipe)
+            sampler.take(pipe)
+            self.warmup_ops += pipe.commit_count
+            target = pipe.commit_count + config.sample_window
+            self._set_phase("measure")
+            while pipe.step() and pipe.commit_count < target:
+                pass
+        self.cycle = pipe.cycle
         end = _snapshot(pipe)
         ops = end["committed"] - base["committed"]
         cycles = end["cycle"] - base["cycle"]
-        sample = dict(self._sampler.take(pipe))
+        sample = dict(sampler.take(pipe))
         if ops > 0 and cycles > 0:
             energy = _delta_map(end["energy"], base["energy"])
             for key, value in _delta_map(
                     end["hier_events"], base["hier_events"]).items():
                 energy[key] = energy.get(key, 0) + value
             record = {
-                "start_op": self._window_start_op,
+                "start_op": start,
                 "ops": ops,
                 "cycles": cycles,
                 "ipc": ops / cycles,
@@ -432,19 +410,16 @@ class SampledSimulation:
                 "breakdown_counts": _delta_map(end["breakdown_counts"],
                                                base["breakdown_counts"]),
                 "scheduler": _delta_map(end["scheduler"], base["scheduler"]),
-                "warmup_discarded": not early,
+                "warmup_discarded": measured,
             }
             self.windows.append(record)
             sample.update(
                 window=len(self.windows) - 1,
-                start_op=self._window_start_op,
+                start_op=start,
                 measured_ops=ops,
                 measured_cycles=cycles,
             )
             self.samples.append(sample)
-        self._cursor += pipe.commit_count
-        self._next_start = max(self._window_start_op
-                               + self.config.sample_period, self._cursor)
         # The window pipeline may be abandoned with stores still in
         # flight; their *local* seqs must not linger in the shared LFST
         # or the next window's loads would wait on phantom producers.
@@ -453,35 +428,21 @@ class SampledSimulation:
         if self.mdp is not None:
             self.mdp.flush_from(0)
         pipe.scheduler.detach()  # free the finished window by refcount
-        self._pipe = None
-        self._advance_phase()
+        return pipe.commit_count
 
-    # -- extrapolation -------------------------------------------------
-    def finalize(self) -> SimResult:
+    def _knobs(self) -> Dict[str, int]:
         config = self.config
-        knobs = {
+        return {
             "sample_period": config.sample_period,
             "sample_window": config.sample_window,
             "warmup_cycles": config.warmup_cycles,
             "ff_width": config.ff_width,
             "ff_warmup_ops": config.ff_warmup_ops,
         }
-        if self._exact:
-            result = self._pipe.finalize()
-            result.sampled = True
-            result.sampling = {
-                "exact": True,
-                "windows": 1,
-                "measured_ops": result.stats.committed,
-                "measured_cycles": result.stats.cycles,
-                "ff_ops": 0,
-                "ff_warmed_ops": 0,
-                "ff_cycles": 0,
-                "warmup_ops": 0,
-                "knobs": knobs,
-                "estimates": {},
-            }
-            return result
+
+    # -- extrapolation -------------------------------------------------
+    def _extrapolate(self) -> SimResult:
+        config = self.config
         if not self.windows:
             raise SimulationDeadlock(
                 f"{config.name}/{self.trace.name}: sampled run produced "
@@ -541,7 +502,7 @@ class SampledSimulation:
             "ff_warmed_ops": self.ff.ops_warmed,
             "ff_cycles": self.ff.cycles,
             "warmup_ops": self.warmup_ops,
-            "knobs": knobs,
+            "knobs": self._knobs(),
             "estimates": estimates,
         }
         return SimResult(

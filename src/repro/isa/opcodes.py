@@ -24,8 +24,8 @@ class OpClass(enum.Enum):
 
     Each member also carries ``id``, its declaration index (``0`` for
     ``INT_ALU`` ... ``9`` for ``NOP``; ``OP_CLASSES[klass.id] is
-    klass``).  The decoded trace columns, the op table and the port
-    file key on that int instead of hashing the enum member.
+    klass``).  The decoded trace columns, each in-flight op and the
+    port file key on that int instead of hashing the enum member.
     """
 
     def __new__(cls, value: str):

@@ -64,7 +64,7 @@ class FXAScheduler(SchedulerBase):
         ixu_issues = 0
         while self._ixu:
             entered, op = self._ixu.popleft()
-            eligible = op._t.op_class[op._i] in _IXU_CLASSES
+            eligible = op.op_class in _IXU_CLASSES
             self.energy["select_input"] += 1
             if (
                 eligible

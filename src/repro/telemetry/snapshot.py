@@ -114,6 +114,25 @@ def _lfst_state(mdp) -> List[Dict]:
     return entries
 
 
+def _op_census(pipe) -> Dict[str, int]:
+    """Counts over every fetched, not yet retired µop (``pipe.inflight``).
+
+    ``capacity`` is the in-flight bound the core is built for: ROB plus
+    the front-end queues.
+    """
+    config = pipe.config
+    ops = pipe.inflight.values()
+    return {
+        "capacity": (config.rob_size + config.alloc_queue
+                     + 2 * config.decode_width),
+        "live": len(ops),
+        "issued": sum(1 for op in ops if op.issued),
+        "completed": sum(1 for op in ops if op.completed),
+        "waiting_sources": sum(1 for op in ops if op.wake_pending > 0),
+        "waiting_mdp": sum(1 for op in ops if op.mdp_waiting),
+    }
+
+
 def capture_snapshot(pipe, reason: str = "") -> Dict:
     """Capture a wedged (or merely interesting) pipeline's state.
 
@@ -158,9 +177,7 @@ def capture_snapshot(pipe, reason: str = "") -> Dict:
         },
         "lfst": _lfst_state(pipe.mdp) if pipe.mdp is not None else [],
         "pending_events": len(pipe._events),
-        # aggregate over the structure-of-arrays op table (see
-        # repro.core.optable.OpTable.summary)
-        "op_table": pipe.ops.summary(),
+        "op_table": _op_census(pipe),
     }
     if pipe.attribution is not None:
         snap["stall_cycles"] = pipe.attribution.totals()
@@ -238,7 +255,7 @@ def render_snapshot(snapshot: Dict) -> str:
         add(f"  stall attribution: {parts}")
     table = snapshot.get("op_table")
     if table:
-        add(f"  op table: {table['live']}/{table['capacity']} live "
+        add(f"  in flight: {table['live']}/{table['capacity']} µops "
             f"({table['issued']} issued, {table['completed']} completed, "
             f"{table['waiting_sources']} waiting on sources, "
             f"{table['waiting_mdp']} on MDP)")

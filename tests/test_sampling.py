@@ -186,10 +186,7 @@ class TestDeterminism:
 
         def warmed_state():
             sim = SampledSimulation(trace, config)
-            sim.begin()
-            while sim.step():
-                pass
-            sim.finalize()
+            sim.run()
             return (sim.ff.index, sim.ff.ops_warmed, sim.ff.cycles,
                     dict(sim.hier.events), sim.frontend.lookups)
 
