@@ -1,12 +1,14 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""The session runner behind the paper-claims gate.
 
-All benchmarks share one :class:`ExperimentRunner` whose disk cache lives in
-``.bench_cache/`` at the repo root, so each (workload, config) simulation is
-paid for exactly once across the whole ``pytest benchmarks/`` invocation.
-
-Knobs: ``REPRO_BENCH_OPS`` (trace length, default 10000) and
-``REPRO_BENCH_SEED`` control fidelity vs. runtime.
+One :class:`ExperimentRunner` at the report's settings (``DEFAULT_OPS``
+micro-ops per trace, seed ``DEFAULT_SEED``) serves the whole session, with
+one worker process per CPU.  Its result cache is a throwaway directory:
+the cache key ignores most of ``CoreConfig`` and all of the simulator's
+code, so a warm ``.bench_cache`` could feed the gate numbers from older
+code.  The runner is closed at session end, so no worker outlives pytest.
 """
+
+import os
 
 import pytest
 
@@ -14,10 +16,9 @@ from repro.analysis import ExperimentRunner
 
 
 @pytest.fixture(scope="session")
-def runner():
-    return ExperimentRunner()
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+def runner(tmp_path_factory):
+    runner = ExperimentRunner(
+        cache_dir=str(tmp_path_factory.mktemp("cache")), jobs=os.cpu_count()
+    )
+    yield runner
+    runner.close()

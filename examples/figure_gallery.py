@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Render the paper's headline figures as terminal bar charts.
 
-Uses the shared experiment cache (populated by `pytest benchmarks/
---benchmark-only`, or on demand here — the first run takes minutes), then
-draws Figures 11, 13, 16 and 17c with `repro.analysis.plotting`.
+Collects Figures 11, 13, 14, 16 and 17c through the registry in
+`repro.analysis.experiments` (results land in the shared `.bench_cache/`,
+so the first run takes minutes and later ones are instant) and draws
+them with `repro.analysis.plotting`.
 
 Run:  python examples/figure_gallery.py [ops]
 """
@@ -11,13 +12,7 @@ Run:  python examples/figure_gallery.py [ops]
 import sys
 
 from repro.analysis import ExperimentRunner
-from repro.analysis.experiments import (
-    collect_energy,
-    collect_fig11,
-    collect_fig13,
-    collect_fig14_siq_share,
-    collect_fig17c,
-)
+from repro.analysis.experiments import REGISTRY
 from repro.analysis.plotting import bar_chart
 
 
@@ -25,7 +20,10 @@ def main() -> None:
     ops = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
     runner = ExperimentRunner(target_ops=ops)
 
-    fig11 = collect_fig11(runner)
+    def collect(key):
+        return REGISTRY[key].collect(runner)
+
+    fig11 = collect("fig11")["geomean"]
     print(bar_chart(
         fig11,
         title="Figure 11 - speedup over the 8-wide in-order core (geomean)",
@@ -34,12 +32,12 @@ def main() -> None:
     print()
 
     print(bar_chart(
-        collect_fig13(runner),
+        collect("fig13"),
         title="Figure 13 - step-by-step technique impact (speedup over InO)",
     ))
     print()
 
-    share = collect_fig14_siq_share(runner)
+    share = collect("fig14")["ballerino"]["siq"]
     print(bar_chart(
         {"S-IQ (speculative issue)": share, "P-IQs (dependence chains)": 1 - share},
         title="Figure 14 - where Ballerino's instructions issue from",
@@ -47,20 +45,14 @@ def main() -> None:
     ))
     print()
 
-    energy = collect_energy(runner)
-    ooo = energy["ooo"]
-    efficiency = {
-        arch: (ooo["total"] * ooo["seconds"]) / (d["total"] * d["seconds"])
-        for arch, d in energy.items()
-    }
     print(bar_chart(
-        efficiency,
-        title="Figure 16 - energy efficiency (1/EDP) vs OoO",
+        collect("fig16"),
+        title="Figure 16 - energy efficiency (1/EDP) vs OoO (geomean)",
         reference=1.0,
     ))
     print()
 
-    fig17c = {f"{n} P-IQs": v for n, v in collect_fig17c(runner).items()}
+    fig17c = {f"{n} P-IQs": v for n, v in collect("fig17c").items()}
     print(bar_chart(
         fig17c,
         title="Figure 17c - Ballerino performance vs OoO by P-IQ count",

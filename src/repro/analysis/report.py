@@ -1,8 +1,8 @@
-"""Plain-text table rendering for benchmark reports.
+"""Plain-text table rendering for the command-line reports.
 
-The benchmark harness prints every figure/table it regenerates as an ASCII
-table (one per paper figure), so ``pytest benchmarks/ --benchmark-only``
-output doubles as the reproduction report.
+``python -m repro`` prints its per-run and per-suite tables with
+:func:`format_table`; the paper-vs-measured report renders Markdown
+instead (:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations

@@ -25,8 +25,6 @@ stops the pool but preserves everything already merged into the cache.
 
 Environment knobs:
 
-* ``REPRO_BENCH_OPS`` — dynamic micro-ops per workload trace (default 10000).
-* ``REPRO_BENCH_SEED`` — workload data seed (default 7).
 * ``REPRO_BENCH_CACHE`` — cache directory ("" disables the disk cache).
 * ``REPRO_RUN_LOG`` — path of a JSONL campaign run-log (see
   :mod:`repro.telemetry.runlog`); empty/unset disables it.
@@ -58,8 +56,9 @@ from ..telemetry.runlog import RunLog
 from ..telemetry.spans import SpanContext, SpanRecorder, derive_span_id
 from ..workloads.suite import SUITE_NAMES, get_trace
 
-DEFAULT_OPS = int(os.environ.get("REPRO_BENCH_OPS", "10000"))
-DEFAULT_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
+#: Micro-ops per workload trace and workload-data seed of EXPERIMENTS.md.
+DEFAULT_OPS = 10_000
+DEFAULT_SEED = 7
 
 #: Base delay (seconds) for the exponential pool-respawn backoff.
 BACKOFF_BASE = 0.1

@@ -74,7 +74,8 @@ import sys
 from typing import List, Optional
 
 from .analysis.report import format_table
-from .analysis.runner import ExperimentRunner, geomean
+from .analysis.runner import (DEFAULT_OPS, DEFAULT_SEED, ExperimentRunner,
+                              geomean)
 from .core.config import FIG11_ARCHES, config_for
 from .energy.model import EnergyModel
 from .workloads.kernels import KERNELS
@@ -155,9 +156,9 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=_version_string())
-    parser.add_argument("--ops", type=int, default=10_000,
+    parser.add_argument("--ops", type=int, default=DEFAULT_OPS,
                         help="dynamic micro-ops per workload trace")
-    parser.add_argument("--seed", type=int, default=7,
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload data seed")
     parser.add_argument("--width", type=int, default=8, choices=(2, 4, 8, 10),
                         help="issue width")
@@ -1043,37 +1044,31 @@ def _cmd_trace(args) -> int:
 def _cmd_report(args) -> int:
     from .analysis.experiments import build_report
 
-    print(build_report(_runner(args)))
+    runner = _runner(args)
+    try:
+        print(build_report(runner))
+    finally:
+        runner.close()  # in-process callers must not inherit its workers
     return 0
 
 
 def _cmd_figure(args) -> int:
-    from .analysis import experiments
+    from .analysis.experiments import REGISTRY
     from .analysis.plotting import bar_chart
 
-    runner = _runner(args)
+    data = REGISTRY[args.which].collect(_runner(args))
     if args.which == "fig11":
-        data = experiments.collect_fig11(runner)
-        print(bar_chart(data, title="Figure 11: speedup over InO (geomean)",
-                        reference=data["ooo"]))
+        print(bar_chart(data["geomean"],
+                        title="Figure 11: speedup over InO (geomean)",
+                        reference=data["geomean"]["ooo"]))
     elif args.which == "fig13":
-        data = experiments.collect_fig13(runner)
         print(bar_chart(data, title="Figure 13: step-by-step (speedup/InO)"))
     elif args.which == "fig16":
-        energy = experiments.collect_energy(runner)
-        ooo = energy["ooo"]
-        eff = {
-            arch: (ooo["total"] * ooo["seconds"])
-            / (d["total"] * d["seconds"])
-            for arch, d in energy.items()
-        }
-        print(bar_chart(eff, title="Figure 16: 1/EDP vs OoO", reference=1.0))
+        print(bar_chart(data, title="Figure 16: 1/EDP vs OoO (geomean)",
+                        reference=1.0))
     else:  # fig17c
-        data = {
-            f"{count} P-IQs": value
-            for count, value in experiments.collect_fig17c(runner).items()
-        }
-        print(bar_chart(data, title="Figure 17c: perf vs OoO by P-IQ count",
+        print(bar_chart({f"{n} P-IQs": value for n, value in data.items()},
+                        title="Figure 17c: perf vs OoO by P-IQ count",
                         reference=1.0))
     return 0
 

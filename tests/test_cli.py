@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -217,8 +218,9 @@ class TestReport:
     def test_report_renders_paper_comparison(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "cache"))
-        # 600 ops keeps the full multi-figure sweep fast enough for CI
-        assert main(["--ops", "600", "report"]) == 0
+        # 600 ops and two workers keep the full multi-figure sweep (every
+        # registry entry) fast enough for CI
+        assert main(["--ops", "600", "--jobs", "2", "report"]) == 0
         out = capsys.readouterr().out
         assert "paper vs. measured" in out
         assert "Figure 11" in out and "Figure 13" in out
@@ -248,28 +250,22 @@ class TestSuite:
 
 
 class TestFigure:
-    def test_figure_fig13_renders_bars(self, cli, capsys, monkeypatch):
-        from repro.analysis import experiments
+    @staticmethod
+    def _stub(monkeypatch, key, data):
+        from repro.analysis.experiments import REGISTRY
 
-        monkeypatch.setattr(
-            experiments, "collect_fig13",
-            lambda runner: {"ces": 1.5, "ballerino": 1.8},
-        )
+        monkeypatch.setitem(REGISTRY, key, dataclasses.replace(
+            REGISTRY[key], collect=lambda runner: data))
+
+    def test_figure_fig13_renders_bars(self, cli, capsys, monkeypatch):
+        self._stub(monkeypatch, "fig13", {"ces": 1.5, "ballerino": 1.8})
         assert cli("figure", "fig13") == 0
         out = capsys.readouterr().out
         assert "Figure 13" in out
         assert "#" in out
 
     def test_figure_fig16_uses_energy(self, cli, capsys, monkeypatch):
-        from repro.analysis import experiments
-
-        monkeypatch.setattr(
-            experiments, "collect_energy",
-            lambda runner: {
-                "ooo": {"total": 10.0, "seconds": 1.0},
-                "ballerino": {"total": 8.0, "seconds": 1.05},
-            },
-        )
+        self._stub(monkeypatch, "fig16", {"ooo": 1.0, "ballerino": 1.19})
         assert cli("figure", "fig16") == 0
         out = capsys.readouterr().out
         assert "1/EDP" in out

@@ -98,6 +98,20 @@ class TestTable2SchedulingWindows:
         assert cfg.scheduler.piq_size == 24
         assert "p11" in cfg.name and "s24" in cfg.name
 
+    def test_window_entry_budgets(self):
+        # Table II invariant: every non-FXA design gets ~the same entry budget
+        from repro.energy.model import _window_entries
+
+        budget = {
+            arch: _window_entries(config_for(arch))
+            for arch in ("ooo", "ces", "casino", "fxa", "ballerino")
+        }
+        assert budget["ooo"] == 96
+        assert budget["ces"] == 96
+        assert budget["casino"] == 96
+        assert budget["ballerino"] == 92  # 8 S-IQ + 7x12 (paper's Table II)
+        assert budget["fxa"] < budget["ooo"]  # half-size back end
+
 
 class TestFigureLists:
     def test_fig11_covers_all_designs(self):

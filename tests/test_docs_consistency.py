@@ -1,5 +1,6 @@
 """Guards against documentation rot: names and paths the docs rely on."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -64,23 +65,16 @@ class TestExamplesAreRunnableFiles:
 
 class TestBenchmarksCoverEveryFigure:
     def test_one_bench_per_figure(self):
-        benches = {p.name for p in (REPO / "benchmarks").glob("bench_*.py")}
-        expected = {
-            "bench_fig03_breakdown.py",
-            "bench_fig04_ces_steering.py",
-            "bench_fig06_bottlenecks.py",
-            "bench_fig11_performance.py",
-            "bench_fig12_sched_perf.py",
-            "bench_fig13_steps.py",
-            "bench_fig14_issue_mix.py",
-            "bench_fig15_energy.py",
-            "bench_fig16_efficiency.py",
-            "bench_fig17a_width.py",
-            "bench_fig17b_dvfs.py",
-            "bench_fig17c_piq_count.py",
-            "bench_tables_config.py",
-            "bench_mdp_ablation.py",
-            "bench_ablation_extensions.py",
-            "bench_seed_stability.py",
-        }
-        assert expected <= benches
+        """Every row of DESIGN.md's per-experiment index names an entry
+        of the experiments registry, and every entry is named."""
+        from repro.analysis.experiments import REGISTRY
+
+        section = (REPO / "DESIGN.md").read_text().split("\n## 4.")[1]
+        rows = [line for line in section.split("\n## ")[0].splitlines()
+                if line.startswith("| ") and not line.startswith("| Exp ")]
+        named = set()
+        for row in rows:
+            entries = set(re.findall(r"`([a-z0-9]+)`", row.split("|")[-2]))
+            assert entries and entries <= set(REGISTRY), row
+            named |= entries
+        assert named == set(REGISTRY)
