@@ -70,6 +70,7 @@ stderr during batch runs (docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -522,11 +523,13 @@ def _runner(args) -> ExperimentRunner:
     if args.progress:
         # heartbeat goes to stderr so piped table output stays clean
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    return ExperimentRunner(target_ops=args.ops, seed=args.seed,
-                            cache_dir=cache, jobs=args.jobs,
-                            task_timeout=args.task_timeout,
-                            retries=args.retries,
-                            run_log=args.run_log, progress=progress)
+    runner = ExperimentRunner(target_ops=args.ops, seed=args.seed,
+                              cache_dir=cache, jobs=args.jobs,
+                              task_timeout=args.task_timeout,
+                              retries=args.retries,
+                              run_log=args.run_log, progress=progress)
+    args.runners.append(runner)
+    return runner
 
 
 def _cmd_workloads(args) -> int:
@@ -1044,11 +1047,7 @@ def _cmd_trace(args) -> int:
 def _cmd_report(args) -> int:
     from .analysis.experiments import build_report
 
-    runner = _runner(args)
-    try:
-        print(build_report(runner))
-    finally:
-        runner.close()  # in-process callers must not inherit its workers
+    print(build_report(_runner(args)))
     return 0
 
 
@@ -1476,7 +1475,18 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    args.runners = []  # each _runner(), closed below with its workers
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone: the exit-time flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        for runner in args.runners:
+            runner.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -111,10 +111,11 @@ class Pipeline:
     scheduler, LSQ, rename unit and ports keep anyway.
 
     Args:
-        trace: The dynamic micro-op stream to replay.  Its decoded
-            columns (:attr:`~repro.workloads.trace.Trace.columns`,
-            built on first use and cached on the trace) are what the
-            stages read per µop.
+        trace: The dynamic micro-op stream to replay (all of it, or
+            the slice :meth:`begin` names).  Its decoded columns
+            (:attr:`~repro.workloads.trace.Trace.columns`, built on
+            first use and cached on the trace) are what the stages
+            read per µop.
         config: Core configuration (see :mod:`repro.core.config`).
         scheduler_factory: ``f(pipeline) -> scheduler``; defaults to building
             the scheduler named by ``config.scheduler.kind``.
@@ -132,10 +133,10 @@ class Pipeline:
             ``SimResult.interval_samples``.
         frontend / hierarchy / mdp: Pre-warmed front end, memory
             hierarchy, and memory-dependence predictor to *share*
-            instead of building fresh ones — the sampled-simulation
-            driver (:mod:`repro.core.sampling`) threads one warmed set
-            through its fast-forward engine and every measured-window
-            pipeline.  Defaults build cold state, exactly as before.
+            instead of building fresh ones — :mod:`repro.core.sampling`
+            threads one set through every measured-window pipeline, the
+            first two also through its fast-forward engine.  Defaults
+            build cold state.
     """
 
     def __init__(
@@ -256,7 +257,8 @@ class Pipeline:
         return self.finalize()
 
     def begin(self, max_cycles: int = 50_000_000,
-              start_cycle: int = 0) -> None:
+              start_cycle: int = 0, start: int = 0,
+              stop: Optional[int] = None) -> None:
         """Arm the per-run bookkeeping so :meth:`step` can be called.
 
         Split out of :meth:`run` so external drivers — the sampled
@@ -264,13 +266,22 @@ class Pipeline:
         (a step is one cycle or one skipped quiet stretch).  ``run()``
         is exactly ``begin()``; ``while step(): pass``; ``finalize()``.
 
+        ``start`` and ``stop`` bound the run to the trace slice
+        ``[start, stop)`` (default: all of it) at the trace's own seqs
+        and decoded columns: fetch begins at ``start``, never passes
+        ``stop``, and the run ends once ``stop - start`` µops commit.
+        :mod:`repro.core.sampling` runs each measured window this way.
+
         ``start_cycle`` continues a running global clock: the sampled
         driver's measured-window pipelines share a memory hierarchy
         whose MSHR/fill/DRAM-row state is keyed on absolute cycles, so
         a window must pick up the clock where fast-forward left it, not
         restart at zero.  ``max_cycles`` stays an absolute ceiling.
         """
-        self._total = len(self.trace)
+        self._start = start
+        self._stop = len(self.trace) if stop is None else stop
+        self._total = self._stop - start  # µops this run commits
+        self.fetch_index = start
         self._max_cycles = max_cycles
         self._deadlock_cycles = self.config.deadlock_cycles
         self.cycle = start_cycle
@@ -378,7 +389,7 @@ class Pipeline:
         if entries and entries[0].completed:
             return False
         if (self.pending_redirect is None and cycle >= self.fetch_resume_at
-                and self.fetch_index < self._total
+                and self.fetch_index < self._stop
                 and len(self.decode_queue) < self.config.alloc_queue):
             return False
         queue = self.decode_queue
@@ -533,7 +544,7 @@ class Pipeline:
             )
             dep = op.mdp_dep_seq
             legacy = (
-                dep is None or dep < self.commit_count
+                dep is None or dep < self._start + self.commit_count
                 or dep in self._store_issued
             )
             assert (not op.mdp_waiting) == legacy, (
@@ -788,7 +799,8 @@ class Pipeline:
                 else:
                     dep = self.mdp.load_dispatched(ifop.op.pc)
                 energy["mdp_access"] += 1
-                if dep is not None and self.commit_count <= dep < seq:
+                if (dep is not None
+                        and self._start + self.commit_count <= dep < seq):
                     ifop.mdp_dep_seq = dep
                     if dep not in self._store_issued:
                         self.wakeup.register_mdp(ifop)
@@ -882,8 +894,8 @@ class Pipeline:
         if self.pending_redirect is not None or cycle < self.fetch_resume_at:
             return
         seq = self.fetch_index
-        total = self._total
-        if seq >= total:
+        end = self._stop
+        if seq >= end:
             return
         fetched = 0
         trace_ops = self.trace.ops
@@ -896,7 +908,7 @@ class Pipeline:
         inflight = self.inflight
         stats = self.stats
         energy = self.energy
-        while (fetched < width and seq < total
+        while (fetched < width and seq < end
                and len(decode_queue) < alloc_queue):
             op = trace_ops[seq]
             line = (CODE_BASE + op.pc * 4) // LINE_SIZE

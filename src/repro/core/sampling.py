@@ -5,20 +5,21 @@ in detail while the space between them is skipped functionally.  This
 module brings the same methodology to the repro so million-op traces
 become affordable (ROADMAP item 2):
 
-* :class:`FastForward` advances over the decoded trace in execute-only
+* :class:`FastForward` advances over the trace in execute-only
   fashion, retiring ``ff_width`` µops per virtual cycle while still
-  *training* the TAGE/BTB front end, warming the cache hierarchy (and
-  through it MSHR/DRAM-row state), and keeping the SSIT/LFST
-  memory-dependence predictor's LFST consistent (SSIT itself only
-  learns from order violations, which are a timing phenomenon — it is
-  warmed by the detailed windows and *carried* across the gaps).
+  *training* the TAGE/BTB front end and warming the cache hierarchy
+  (and through it MSHR/DRAM-row state).  It leaves the store-set
+  memory-dependence predictor alone: its SSIT only learns from order
+  violations, a timing phenomenon, so the detailed windows warm it and
+  it is *carried* across the gaps.
 * :meth:`SampledSimulation.run` alternates fast-forward gaps with
   detailed windows in one loop: each window steps a fresh
-  :class:`~repro.core.pipeline.Pipeline` over a seq-renumbered subtrace
-  through its warm-up and its measured ops.  Every window *shares* the
-  warmed front end / hierarchy / MDP and continues the global clock
-  (``Pipeline.begin(start_cycle=...)``) so absolute-cycle cache state
-  stays meaningful.
+  :class:`~repro.core.pipeline.Pipeline` over its slice of the trace
+  (``Pipeline.begin(start=..., stop=...)``), at the trace's own seqs
+  and decoded columns, through its warm-up and its measured ops.
+  Every window *shares* the warmed front end / hierarchy / MDP and
+  continues the global clock (``begin(start_cycle=...)``) so
+  absolute-cycle cache state stays meaningful.
 * The run then extrapolates whole-run statistics from the measured
   windows — IPC/cycles via the pooled CPI, event counters by the
   measured-op fraction — with per-metric Student-t confidence
@@ -99,23 +100,6 @@ def with_sampling(
     )
 
 
-def subtrace(trace: Trace, start: int, count: int) -> Trace:
-    """A renumbered window ``[start, start+count)`` of ``trace``.
-
-    The pipeline equates trace index with ``DynOp.seq`` (squash recovery
-    refetches at ``fetch_index = seq``), so a window's ops must be
-    renumbered from zero, not sliced verbatim.
-    """
-    end = min(len(trace.ops), start + count)
-    if start == 0 and end == len(trace.ops):
-        return trace
-    ops = tuple(
-        replace(op, seq=index)
-        for index, op in enumerate(trace.ops[start:end])
-    )
-    return Trace(name=trace.name, ops=ops)
-
-
 class FastForward:
     """Execute-only advance over a trace, warming shared predictor state.
 
@@ -123,22 +107,19 @@ class FastForward:
     touches exactly the long-lived structures a detailed fetch/commit
     would: one I-cache probe per new line, a D-cache access per memory
     op (write-through at the same absolute cycle the clock has
-    reached), TAGE/BTB predict+resolve per branch, and the LFST
-    dispatch/issue handshake per store so no stale inter-window store
-    seq survives.  With ``ff_warmup_ops > 0`` only the *last* N ops of
-    each gap are warmed; the earlier ops are skipped at zero cost
-    (indices and clock still advance), trading cold-miss accuracy for
-    gap-length-independent cost.
+    reached) and TAGE/BTB predict+resolve per branch.  With
+    ``ff_warmup_ops > 0`` only the *last* N ops of each gap are warmed;
+    the earlier ops are skipped at zero cost (indices and clock still
+    advance), trading cold-miss accuracy for gap-length-independent
+    cost.
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
-                 frontend: FrontEnd, hierarchy: MemoryHierarchy,
-                 mdp: Optional[StoreSetPredictor]):
+                 frontend: FrontEnd, hierarchy: MemoryHierarchy):
         self.trace = trace
         self.config = config
         self.frontend = frontend
         self.hier = hierarchy
-        self.mdp = mdp
         self.index = 0  # next trace op to fast-forward
         self.ops_warmed = 0
         self.ops_skipped = 0
@@ -160,7 +141,7 @@ class FastForward:
             self.ops_skipped += skip
             self._last_line = -1  # line locality broken by the skip
         ops = self.trace.ops
-        hier, frontend, mdp = self.hier, self.frontend, self.mdp
+        hier, frontend = self.hier, self.frontend
         last_line = self._last_line
         cyc = clock + skip // width
         in_cycle = 0
@@ -174,16 +155,8 @@ class FastForward:
                 last_line = line
             if op.mem_addr is not None:
                 if op.is_store:
-                    if mdp is not None:
-                        # dispatch+issue back-to-back: keeps the LFST
-                        # consistent without leaking this global seq
-                        # into a window pipeline's local seq space
-                        mdp.store_dispatched(pc, i)
-                        mdp.store_issued(pc, i)
                     hier.access_data(op.mem_addr, cyc, is_write=True, pc=pc)
                 elif op.is_load:
-                    if mdp is not None:
-                        mdp.load_dispatched(pc)
                     hier.access_data(op.mem_addr, cyc, pc=pc)
             elif op.is_branch:
                 unconditional = op.opcode.name == "jmp"
@@ -256,8 +229,7 @@ class SampledSimulation:
         self.mdp: Optional[StoreSetPredictor] = (
             StoreSetPredictor() if config.mdp_enabled else None
         )
-        self.ff = FastForward(trace, config, self.frontend, self.hier,
-                              self.mdp)
+        self.ff = FastForward(trace, config, self.frontend, self.hier)
         self.cycle = 0  # global virtual clock (ff + detailed)
         self.windows: List[Dict] = []
         self.samples: List[Dict] = []
@@ -349,11 +321,10 @@ class SampledSimulation:
         # measured window itself (capped by the remaining trace)
         budget = (config.sample_window
                   + config.warmup_cycles * config.commit_width)
-        pipe = Pipeline(
-            subtrace(self.trace, start, budget), config,
-            frontend=self.frontend, hierarchy=self.hier, mdp=self.mdp,
-        )
-        pipe.begin(max_cycles, start_cycle=self.cycle)
+        pipe = Pipeline(self.trace, config, frontend=self.frontend,
+                        hierarchy=self.hier, mdp=self.mdp)
+        pipe.begin(max_cycles, start_cycle=self.cycle, start=start,
+                   stop=min(len(self.trace), start + budget))
         warmup_until = self.cycle + config.warmup_cycles
         # measurement starts at exactly this cycle: a quiet-stretch jump
         # must stop there (Pipeline.observe_at), not overshoot it
@@ -368,8 +339,8 @@ class SampledSimulation:
                 if pipe.cycle >= warmup_until:
                     measured = True
                     break
-            # else the subtrace ran out during warm-up (trace tail):
-            # the whole window is measured, warm-up included
+            # else the slice ran out during warm-up (trace tail): the
+            # whole window is measured, warm-up included
         if measured:
             pipe.observe_at = None
             base = _snapshot(pipe)
@@ -421,10 +392,9 @@ class SampledSimulation:
             )
             self.samples.append(sample)
         # The window pipeline may be abandoned with stores still in
-        # flight; their *local* seqs must not linger in the shared LFST
-        # or the next window's loads would wait on phantom producers.
-        # flush_from(0) clears all transient LFST/reservation state and
-        # keeps the learned SSIT — that is the warmed part.
+        # flight: flush_from(0) drops their LFST entries (or the next
+        # window's loads would find a last fetched store that never
+        # issues) and keeps the learned SSIT — that is the warmed part.
         if self.mdp is not None:
             self.mdp.flush_from(0)
         pipe.scheduler.detach()  # free the finished window by refcount

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
@@ -29,6 +30,24 @@ class TestInformational:
         out = capsys.readouterr().out
         assert "stream_triad" in out
         assert "pointer_chase" in out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_quietly(self, unbuffered):
+        """``repro workloads | head -0``: the reader is gone before the
+        table is written; the command fails without a traceback."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "workloads"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert proc.stderr == b""
 
     def test_configs_lists_presets(self, cli, capsys):
         assert cli("configs") == 0
@@ -239,6 +258,12 @@ class TestCompare:
     def test_compare_includes_dnb_extension(self, cli, capsys):
         assert cli("compare", "matmul_tile", "dnb") == 0
         assert "dnb" in capsys.readouterr().out
+
+    def test_compare_leaves_no_worker_behind(self, capsys):
+        before = set(multiprocessing.active_children())
+        assert main(["--ops", "400", "--jobs", "2", "--no-cache", "compare",
+                     "dotprod", "ooo", "ces", "inorder"]) == 0
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestSuite:

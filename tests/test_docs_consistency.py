@@ -8,6 +8,7 @@ import pytest
 from repro.cli import _ALL_ARCHES
 from repro.core import config_for
 from repro.workloads import KERNELS
+from repro.workloads.suite import SUITE_NAMES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -78,3 +79,38 @@ class TestBenchmarksCoverEveryFigure:
             assert entries and entries <= set(REGISTRY), row
             named |= entries
         assert named == set(REGISTRY)
+
+
+class TestDesignInventory:
+    @staticmethod
+    def _section():
+        text = (REPO / "DESIGN.md").read_text()
+        return text.split("\n## 3.")[1].split("\n## ")[0]
+
+    def test_every_module_it_names_imports(self):
+        """Each row's last cell names modules; ``.x`` is a sibling of the
+        row's first module."""
+        import importlib
+
+        rows = [line for line in self._section().splitlines()
+                if line.startswith("| ") and not line.startswith("| System ")]
+        named = []
+        for row in rows:
+            names = re.findall(r"`(\.?[a-z_.]+)`", row.split("|")[-2])
+            package = names[0].rsplit(".", 1)[0]
+            named += [package + name if name.startswith(".") else name
+                      for name in names]
+        assert len(named) >= len(rows) > 30
+
+        def imports(name):
+            try:
+                importlib.import_module(name)
+            except ModuleNotFoundError:
+                return False
+            return True
+
+        assert [name for name in named if not imports(name)] == []
+
+    def test_counts_the_kernels(self):
+        assert (f"{len(KERNELS)} kernels, {len(SUITE_NAMES)} of them"
+                in self._section())

@@ -18,6 +18,7 @@ pool) carries sampling through unchanged.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,17 +26,17 @@ import pytest
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import sweep
 from repro.core.config import config_for
-from repro.core.pipeline import simulate
+from repro.core.pipeline import Pipeline, simulate
 from repro.core.sampling import (
     DEFAULT_SAMPLE_PERIOD,
     FastForward,
     SampledSimulation,
     simulate_sampled,
-    subtrace,
     with_sampling,
 )
 from repro.core.stats import SimResult
 from repro.workloads.suite import get_trace
+from repro.workloads.trace import Trace
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text()
@@ -102,28 +103,29 @@ class TestKnobs:
 
 
 # ---------------------------------------------------------------------------
-# subtrace
+# a window is a slice of the trace, run at the trace's own seqs
 
 
-class TestSubtrace:
-    def test_renumbers_seq_from_zero(self):
-        trace = get_trace("histogram", 500, SEED)
-        window = subtrace(trace, 100, 50)
-        assert len(window) == 50
-        assert [op.seq for op in window.ops] == list(range(50))
-        # everything but seq is the original op
-        for got, want in zip(window.ops, trace.ops[100:150]):
-            assert got.pc == want.pc and got.opcode is want.opcode
-            assert got.mem_addr == want.mem_addr
-
-    def test_whole_trace_is_identity(self):
-        trace = get_trace("histogram", 500, SEED)
-        assert subtrace(trace, 0, 500) is trace
-        assert subtrace(trace, 0, 10_000) is trace
-
-    def test_tail_window_is_clamped(self):
-        trace = get_trace("histogram", 500, SEED)
-        assert len(subtrace(trace, 450, 100)) == 50
+class TestTraceSlice:
+    @pytest.mark.parametrize("arch", ["ooo", "ballerino", "ces"])
+    def test_slice_runs_like_its_ops_as_a_trace_of_their_own(self, arch):
+        """Squash refetch, MDP dependences and the invariant checker all
+        work at seqs that do not start at zero."""
+        trace = get_trace("histogram", 2000, SEED)
+        start, stop = 400, 1900
+        alone = Trace(name=trace.name, ops=tuple(
+            replace(op, seq=index)
+            for index, op in enumerate(trace.ops[start:stop])))
+        expect = Pipeline(alone, config_for(arch),
+                          check_invariants=True).run()
+        pipe = Pipeline(trace, config_for(arch), check_invariants=True)
+        pipe.begin(start=start, stop=stop)
+        while pipe.step():
+            pass
+        result = pipe.finalize()
+        assert result.stats.committed == stop - start
+        assert result.stats.order_violations > 0
+        assert result.to_dict() == expect.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +288,9 @@ class TestDispatch:
 class TestFastForward:
     def _parts(self, config):
         from repro.frontend.branch_predictor import FrontEnd
-        from repro.lsq.mdp import StoreSetPredictor
         from repro.memory.hierarchy import MemoryHierarchy
 
-        return (FrontEnd(), MemoryHierarchy(config.hierarchy),
-                StoreSetPredictor())
+        return FrontEnd(), MemoryHierarchy(config.hierarchy)
 
     def test_advances_clock_by_width(self):
         trace = get_trace("histogram", 1000, SEED)
@@ -305,8 +305,8 @@ class TestFastForward:
     def test_warms_caches_and_predictor(self):
         trace = get_trace("histogram", 1000, SEED)
         config = config_for("ooo")
-        frontend, hier, mdp = self._parts(config)
-        ff = FastForward(trace, config, frontend, hier, mdp)
+        frontend, hier = self._parts(config)
+        ff = FastForward(trace, config, frontend, hier)
         ff.advance(1000, 0)
         assert hier.events["l1d"] > 0
         assert hier.events["l1i"] > 0
@@ -342,10 +342,10 @@ class TestFastForward:
         """After an FF stretch the hierarchy must be warm but idle."""
         trace = get_trace("stream_triad", 2000, SEED)
         config = config_for("ooo")
-        frontend, hier, mdp = self._parts(config)
+        frontend, hier = self._parts(config)
         from repro.memory.cache import LINE_SIZE
 
-        ff = FastForward(trace, config, frontend, hier, mdp)
+        ff = FastForward(trace, config, frontend, hier)
         clock = ff.advance(2000, 0)
         hier.settle(clock)
         # content survives: the most recently touched line is resident

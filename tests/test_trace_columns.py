@@ -19,7 +19,7 @@ from repro.verify.genprog import assemble, generate_spec
 from repro.workloads import KERNELS, Trace, build_trace
 from repro.workloads.executor import execute
 from repro.workloads.trace import (STOP_BRANCH, STOP_HALT, STOP_JMP,
-                                   STOP_NONE)
+                                   STOP_NONE, TraceColumns)
 
 
 def _edge_cases():
@@ -105,15 +105,26 @@ def test_decoded_once_and_kept_on_the_trace():
     assert trace == fresh and hash(trace) == hash(fresh)
 
 
-class TestSampledRunsDecodeOnlyWhatTheySimulate:
-    def test_gapped_run_leaves_the_full_trace_undecoded(self):
-        trace = build_trace("stream_triad", target_ops=12_000, seed=7)
-        assert len(trace) >= 12_000
-        config = with_sampling(config_for("ooo"), period=6_000, window=500)
-        result = simulate(trace, config)
-        assert result.sampled and result.sampling["windows"] >= 2
-        assert "columns" not in trace.__dict__
+def test_a_gapped_sampled_run_decodes_only_the_trace_itself(monkeypatch):
+    """Every window runs on the trace at its own seqs, reading the
+    trace's columns: no window builds a decode of its own."""
+    built = []
+    init = TraceColumns.__init__
 
+    def counting_init(self, ops):
+        built.append(len(ops))
+        init(self, ops)
+
+    monkeypatch.setattr(TraceColumns, "__init__", counting_init)
+    trace = build_trace("stream_triad", target_ops=12_000, seed=7)
+    config = with_sampling(config_for("ooo"), period=6_000, window=500)
+    result = simulate(trace, config)
+    assert result.sampled and result.sampling["windows"] >= 2
+    assert built == [len(trace)]
+    assert "columns" in trace.__dict__
+
+
+class TestSampledRunsDecodeOnlyWhatTheySimulate:
     def test_exact_path_decodes_the_full_trace(self):
         trace = build_trace("stream_triad", target_ops=2_000, seed=7)
         config = with_sampling(config_for("ooo"), period=1_000,
