@@ -13,7 +13,7 @@ micro-op ISA are static, so the BTB models first-encounter target misses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
@@ -57,13 +57,6 @@ class BimodalPredictor(BranchPredictor):
         self._counters[i] = min(3, c + 1) if taken else max(0, c - 1)
 
 
-@dataclass
-class _TageEntry:
-    tag: int = 0
-    counter: int = 0  # signed 3-bit: -4..3, >=0 means taken
-    useful: int = 0
-
-
 class TagePredictor(BranchPredictor):
     """TAGE with a bimodal base and ``num_tables`` tagged components.
 
@@ -96,9 +89,15 @@ class TagePredictor(BranchPredictor):
             self.history_lengths.append(min(length, history_bits))
             length *= 2
         self.history_lengths[-1] = history_bits
-        self._tables: List[List[_TageEntry]] = [
-            [_TageEntry() for _ in range(table_entries)] for _ in range(num_tables)
-        ]
+        # each tagged table as three parallel int columns, so building a
+        # predictor allocates no per-entry objects
+        self._tags: List[List[int]] = [[0] * table_entries
+                                       for _ in range(num_tables)]
+        #: signed 3-bit: -4..3, >=0 means taken
+        self._counters: List[List[int]] = [[0] * table_entries
+                                           for _ in range(num_tables)]
+        self._useful: List[List[int]] = [[0] * table_entries
+                                         for _ in range(num_tables)]
         # transient state between predict() and update()
         self._last: Optional[Tuple[int, Optional[int], Optional[int], bool, bool]] = None
 
@@ -124,10 +123,9 @@ class TagePredictor(BranchPredictor):
     def predict(self, pc: int) -> bool:
         provider = None
         provider_index = None
-        for table in reversed(range(len(self._tables))):
+        for table in reversed(range(len(self._tags))):
             index = self._index(pc, table)
-            entry = self._tables[table][index]
-            if entry.tag == self._tag(pc, table):
+            if self._tags[table][index] == self._tag(pc, table):
                 provider = table
                 provider_index = index
                 break
@@ -135,7 +133,7 @@ class TagePredictor(BranchPredictor):
         if provider is None:
             prediction = base_pred
         else:
-            prediction = self._tables[provider][provider_index].counter >= 0
+            prediction = self._counters[provider][provider_index] >= 0
         self._last = (pc, provider, provider_index, prediction, base_pred)
         return prediction
 
@@ -149,10 +147,13 @@ class TagePredictor(BranchPredictor):
 
         mispredicted = prediction != taken
         if provider is not None:
-            entry = self._tables[provider][provider_index]
-            entry.counter = _sat_update(entry.counter, taken, lo=-4, hi=3)
+            counters = self._counters[provider]
+            counters[provider_index] = _sat_update(
+                counters[provider_index], taken, lo=-4, hi=3)
             if prediction != base_pred:
-                entry.useful = _sat_update(entry.useful, prediction == taken, lo=0, hi=3)
+                useful = self._useful[provider]
+                useful[provider_index] = _sat_update(
+                    useful[provider_index], prediction == taken, lo=0, hi=3)
         else:
             self._base.update(pc, taken)
 
@@ -165,24 +166,23 @@ class TagePredictor(BranchPredictor):
         """Allocate an entry in a longer-history table on misprediction."""
         start = 0 if provider is None else provider + 1
         candidates = []
-        for table in range(start, len(self._tables)):
+        for table in range(start, len(self._tags)):
             index = self._index(pc, table)
-            if self._tables[table][index].useful == 0:
+            if self._useful[table][index] == 0:
                 candidates.append((table, index))
         if not candidates:
             # decay usefulness so future allocations can succeed
-            for table in range(start, len(self._tables)):
+            for table in range(start, len(self._tags)):
                 index = self._index(pc, table)
-                entry = self._tables[table][index]
-                entry.useful = max(0, entry.useful - 1)
+                useful = self._useful[table]
+                useful[index] = max(0, useful[index] - 1)
             return
         table, index = candidates[0] if len(candidates) == 1 else self._rng.choice(
             candidates[:2]
         )
-        entry = self._tables[table][index]
-        entry.tag = self._tag(pc, table)
-        entry.counter = 0 if taken else -1
-        entry.useful = 0
+        self._tags[table][index] = self._tag(pc, table)
+        self._counters[table][index] = 0 if taken else -1
+        self._useful[table][index] = 0
 
 
 def _sat_update(value: int, up: bool, lo: int, hi: int) -> int:

@@ -107,7 +107,7 @@ class Cache:
         fast-forward stretch compresses into an unrealistically short
         clock span.
         """
-        for entries in self._sets:
+        for entries in filter(None, self._sets):  # resident sets only
             for line, fill_time in entries.items():
                 if fill_time > cycle:
                     entries[line] = cycle

@@ -22,13 +22,17 @@ the op starts the second partition.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
 from .piq import SharedPIQ
-from .steering import (SteerDecision, SteerInfo, SteeringScoreboard,
+from .steering import (STALL, SteerDecision, SteerInfo, SteeringScoreboard,
                        decision_counts, figure4_outcomes)
+
+#: the partitions a P-IQ examines: the active one, or both (ideal sharing)
+_ONE_HEAD = ((0,), (1,))
+_BOTH_HEADS = (0, 1)
 
 
 class BallerinoScheduler(SchedulerBase):
@@ -87,7 +91,7 @@ class BallerinoScheduler(SchedulerBase):
     # steering
     # ------------------------------------------------------------------
     def _decide(self, ifop: InFlightOp, ready: bool) -> SteerDecision:
-        self.energy["pscb_read"] += max(1, len(ifop.src_pregs))
+        self.energy["pscb_read"] += len(ifop.src_pregs) or 1
         # 1) M-dependence-aware override for loads
         if self.mda and ifop.is_load and self.core.mdp is not None:
             hint = self.core.mdp.steering_hint(ifop.op.pc)
@@ -99,10 +103,7 @@ class BallerinoScheduler(SchedulerBase):
                     and tail.seq == hint.store_seq
                     and piq.has_space(hint.partition)
                 ):
-                    return SteerDecision(
-                        target=hint.iq_index, partition=hint.partition,
-                        outcome="mda", ready=ready,
-                    )
+                    return "mda", hint.iq_index, hint.partition, None
         # 2) follow the first source operand waiting at a P-IQ tail
         if not ready:
             for preg in ifop.src_pregs:
@@ -110,114 +111,105 @@ class BallerinoScheduler(SchedulerBase):
                 if info is None or info.reserved:
                     continue
                 if self.piqs[info.iq].has_space(info.partition):
-                    return SteerDecision(
-                        target=info.iq, partition=info.partition,
-                        outcome="dc", followed_preg=preg, ready=ready,
-                    )
+                    return "dc", info.iq, info.partition, preg
                 break  # producer's queue is full: become a new head
         # 3) a fresh dependence head: empty P-IQ first
         for index, piq in enumerate(self.piqs):
             if not piq.count:
-                return SteerDecision(target=index, partition=0,
-                                     outcome="alloc", ready=ready)
-        # 4) P-IQ sharing
+                return "alloc", index, 0, None
+        # 4) P-IQ sharing: the least occupied eligible queue, the first
+        #    one on a tie
         if self.sharing:
-            candidates = [
-                index for index, piq in enumerate(self.piqs) if piq.shareable()
-            ]
-            if candidates:
-                index = min(candidates, key=lambda j: self.piqs[j].count)
-                return SteerDecision(target=index, partition=1,
-                                     outcome="share", ready=ready)
-        return SteerDecision(target=None, partition=0, outcome="stall",
-                             ready=ready)
+            target = None
+            for index, piq in enumerate(self.piqs):
+                if (target is None or piq.count < least) and piq.shareable():
+                    target, least = index, piq.count
+            if target is not None:
+                return "share", target, 1, None
+        return STALL
 
     def _apply_steer(self, ifop: InFlightOp, decision: SteerDecision) -> None:
-        piq = self.piqs[decision.target]
-        partition = decision.partition
-        if decision.outcome == "share" and not piq.sharing:
+        outcome, target, partition, followed_preg = decision
+        piq = self.piqs[target]
+        if outcome == "share" and not piq.sharing:
             partition = piq.activate_sharing()
         piq.append(ifop, partition)
-        ifop.iq_index = decision.target
+        ifop.iq_index = target
         ifop.iq_partition = partition
         ifop.sched_tag = "piq"
-        self.trace_steer(
-            ifop, f"{decision.outcome}->piq{decision.target}.{partition}"
-        )
-        self.energy["iq_write"] += 1
-        self.energy["steer"] += 1
-        if decision.followed_preg is not None:
-            self.steer.reserve(decision.followed_preg, ifop.seq)
-        if decision.outcome == "mda" and self.core.mdp is not None:
+        if self.tracer is not None:
+            self.trace_steer(ifop, f"{outcome}->piq{target}.{partition}")
+        energy = self.energy
+        energy["iq_write"] += 1
+        energy["steer"] += 1
+        if followed_preg is not None:
+            self.steer.reserve(followed_preg, ifop.seq)
+        mdp = self.core.mdp
+        if outcome == "mda" and mdp is not None:
             # record *which* load reserved the hint so a squash of the
             # load alone releases the reservation (see mdp.flush_from)
-            self.core.mdp.reserve_steering(ifop.op.pc, ifop.seq)
+            mdp.reserve_steering(ifop.op.pc, ifop.seq)
         if ifop.dest_preg is not None:
             self.steer.set(
                 ifop.dest_preg,
-                SteerInfo(iq=decision.target, partition=partition,
-                          owner_seq=ifop.seq),
+                SteerInfo(iq=target, partition=partition, owner_seq=ifop.seq),
             )
-            self.energy["pscb_write"] += 1
-        if self.mda and ifop.is_store and self.core.mdp is not None:
-            self.core.mdp.record_store_steering(
-                ifop.op.pc, ifop.seq, decision.target, partition
-            )
+            energy["pscb_write"] += 1
+        if self.mda and ifop.is_store and mdp is not None:
+            mdp.record_store_steering(ifop.op.pc, ifop.seq, target, partition)
 
     # ------------------------------------------------------------------
     # issue
     # ------------------------------------------------------------------
     def select(self, cycle: int) -> List[InFlightOp]:
+        # Heads and window entries are examined in place, a queue changes
+        # only where an op leaves it, and the per-cycle counts add up in
+        # locals.
         issued: List[InFlightOp] = []
-        core = self.core
-        try_grant = core.try_grant
-        energy = self.energy
-        select_inputs = 0
-        # phase 1: P-IQ heads (upper prefix-sum inputs -> higher priority)
-        head_states = self.head_states
+        try_grant = self.core.try_grant
+        steer_clear = self.steer.clear
+        ideal = self.ideal
+        empty = wait_operand = wait_mdep = port_conflict = 0
+        # phase 1: P-IQ heads (upper prefix-sum inputs -> higher priority).
+        # A normal P-IQ examines its FIFO head.  A sharing one examines
+        # the head of its active partition, which stays active after an
+        # issue (back-to-back) and otherwise hands the single read port to
+        # the other chain (paper §IV-D); ideal sharing examines both heads.
+        # Between cycles both partitions of a sharing P-IQ hold ops (the
+        # pop that drains one collapses the queue), so the other chain
+        # always has a head to hand the port to.
         for index, piq in enumerate(self.piqs):
             if not piq.count:
-                head_states["empty"] += 1
+                empty += 1
                 continue
-            issued_partition: Optional[int] = None
-            # common case inlined: a non-sharing P-IQ examines exactly
-            # its FIFO head (active_heads() would build a fresh list)
-            if piq.sharing:
-                heads = piq.active_heads()
-            else:
-                heads = ((0, piq.partitions[0][0]),)
-            for partition, head in heads:
-                select_inputs += 1
-                # inlined core.srcs_ready / core.mdp_dep_satisfied
+            sharing = piq.sharing
+            drained = False
+            for partition in (_BOTH_HEADS if sharing and ideal
+                              else _ONE_HEAD[piq.active]):
+                queue = piq.partitions[partition]
+                head = queue[0]
                 if head.wake_pending:
-                    head_states["wait_operand"] += 1
+                    wait_operand += 1
+                elif head.mdp_waiting:
+                    wait_mdep += 1
+                elif not try_grant(head, cycle):
+                    port_conflict += 1
+                else:
+                    piq.pop_head(partition)
+                    steer_clear(head.dest_preg)
+                    issued.append(head)
+                    if not queue:
+                        drained = True
                     continue
-                if head.mdp_waiting:
-                    head_states["wait_mdep"] += 1
-                    continue
-                if not try_grant(head, cycle):
-                    head_states["port_conflict"] += 1
-                    continue
-                piq.pop_head(partition, collapse=False)
-                self.steer.clear(head.dest_preg)
-                energy["iq_read"] += 1
-                head_states["issue"] += 1
-                self.issued_piq += 1
-                issued.append(head)
-                issued_partition = partition
-            remap = piq.collapse_idle()
-            if remap is not None:
-                # a partition drained and the queue collapsed: translate
-                # every index captured before the collapse — the steering
-                # scoreboard, the LFST hints, and the partition we issued
-                # from (handing end_cycle the pre-collapse index would
-                # leave `active` pointing at a chain that moved)
-                self._apply_remap(index, remap)
-                if issued_partition is not None:
-                    issued_partition = remap.get(
-                        issued_partition, issued_partition
-                    )
-            piq.end_cycle(issued_partition)
+                if sharing and not ideal:
+                    piq.active = 1 - partition
+            if drained and sharing:
+                # a partition drained and the queue collapses: translate
+                # every partition index captured before the collapse
+                self._apply_remap(index, piq.collapse())
+        piq_issues = len(issued)
+        # every examined head lands in exactly one head state
+        inputs = piq_issues + wait_operand + wait_mdep + port_conflict
         # phase 2: the S-IQ's speculative scheduling window.  Ready ops in
         # the window issue immediately; non-ready ops *preceding* the last
         # issued op are steered to the P-IQs (they were bypassed, so they
@@ -227,51 +219,52 @@ class BallerinoScheduler(SchedulerBase):
         # If nothing in the window is ready, the whole window is steered,
         # advancing the speculative window toward younger ops.
         siq = self.siq
-        window_len = len(siq)
-        if not window_len:
-            energy["select_input"] += select_inputs
-            return issued
-        if window_len > self.siq_window:
-            window_len = self.siq_window
-        window = [siq[i] for i in range(window_len)]
-        select_inputs += window_len
-        issued_mask = []
-        ready_mask = []
-        for op in window:
-            ready = op.wake_pending == 0 and not op.mdp_waiting
-            granted = ready and try_grant(op, cycle)
-            ready_mask.append(ready)
-            issued_mask.append(granted)
-            if granted:
-                energy["iq_read"] += 1
-                self.issued_siq += 1
-                issued.append(op)
-        energy["select_input"] += select_inputs
-        if any(issued_mask):
-            limit = max(i for i, ok in enumerate(issued_mask) if ok)
-        else:
-            limit = len(window)
-        for _ in range(window_len):
-            siq.popleft()
-        kept: List[InFlightOp] = []
-        blocked = False
-        for i, op in enumerate(window):
-            if issued_mask[i]:
+        window = len(siq)
+        if window > self.siq_window:
+            window = self.siq_window
+        inputs += window
+        # bit i: window entry i was ready / has left the S-IQ
+        ready = leaving = 0
+        last_issued = -1
+        for i in range(window):
+            op = siq[i]
+            if op.wake_pending == 0 and not op.mdp_waiting:
+                ready |= 1 << i
+                if try_grant(op, cycle):
+                    issued.append(op)
+                    leaving |= 1 << i
+                    last_issued = i
+        energy = self.energy
+        if issued:
+            energy["iq_read"] += len(issued)
+        energy["select_input"] += inputs
+        head_states = self.head_states
+        head_states["issue"] += piq_issues
+        head_states["wait_operand"] += wait_operand
+        head_states["wait_mdep"] += wait_mdep
+        head_states["port_conflict"] += port_conflict
+        head_states["empty"] += empty
+        self.issued_piq += piq_issues
+        self.issued_siq += len(issued) - piq_issues
+        # steer, along M/R-dependences if not ready, or as a fresh
+        # dependence head if ready but the issue port was taken; a
+        # steering stall blocks the S-IQ head and every op behind it
+        counts = self.steer_decisions
+        for i in range(last_issued if last_issued >= 0 else window):
+            if leaving >> i & 1:
                 continue
-            if blocked or i > limit:
-                kept.append(op)
-                continue
-            # steer: along M/R-dependences if not ready, or as a fresh
-            # dependence head if ready but the issue port was taken
-            decision = self._decide(op, ready_mask[i])
-            self.steer_decisions[decision.outcome, decision.ready] += 1
-            if decision.target is None:
-                blocked = True  # steering stall: this op blocks the head
-                kept.append(op)
-            else:
-                self._apply_steer(op, decision)
-        for op in reversed(kept):
-            self.siq.appendleft(op)
+            op = siq[i]
+            op_ready = ready >> i & 1 == 1
+            decision = self._decide(op, op_ready)
+            counts[decision[0], op_ready] += 1
+            if decision[1] is None:
+                break
+            self._apply_steer(op, decision)
+            leaving |= 1 << i
+        if leaving:
+            for i in range(window - 1, -1, -1):  # youngest first
+                if leaving >> i & 1:
+                    del siq[i]
         return issued
 
     def quiet_signature(self) -> Tuple:

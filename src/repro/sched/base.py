@@ -65,16 +65,18 @@ class SchedulerBase:
     def __init__(self, core: "Pipeline"):
         self.core = core
         self.energy = core.energy
+        #: the core's event tracer, or ``None`` when tracing is off
+        self.tracer = getattr(core, "tracer", None)
 
     # -- telemetry -----------------------------------------------------
     def trace_steer(self, ifop: InFlightOp, cause: str) -> None:
-        """Publish a ``steer`` event for this op (no-op when tracing is off).
+        """Publish a ``steer`` event for this op.
 
         ``cause`` names the movement, e.g. ``dc->piq3.0`` or ``pass->q2``.
+        Call it only when :attr:`tracer` is set, and build ``cause`` only
+        then: with tracing off a steer formats no string.
         """
-        tracer = getattr(self.core, "tracer", None)
-        if tracer is not None:
-            tracer.emit(self.core.cycle, ifop.seq, "steer", cause)
+        self.tracer.emit(self.core.cycle, ifop.seq, "steer", cause)
 
     # -- dispatch ------------------------------------------------------
     def can_accept(self, ifop: InFlightOp) -> bool:

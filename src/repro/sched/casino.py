@@ -53,82 +53,85 @@ class CasinoScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def select(self, cycle: int) -> List[InFlightOp]:
-        issued: List[InFlightOp] = []
-        last = len(self.queues) - 1
-        # the final queue: strict in-order issue
-        final = self.queues[last]
-        while final and len(issued) < self.core.config.issue_width:
-            head = final[0]
-            self.energy["select_input"] += 1
-            if not self.core.op_ready(head, cycle):
-                break
-            if not self.core.try_grant(head, cycle):
-                break
-            final.popleft()
-            self.energy["iq_read"] += 1
-            self.issued_from[last] += 1
-            issued.append(head)
-        # each S-IQ, youngest queue last so passes cannot cascade in one cycle
-        for qi in range(last - 1, -1, -1):
-            issued.extend(self._select_siq(qi, cycle))
-        return issued
-
-    def _select_siq(self, qi: int, cycle: int) -> List[InFlightOp]:
+        # Every queue is examined in place and changes only where an op
+        # leaves it; the per-cycle counts add up in locals.
         core = self.core
-        queue = self.queues[qi]
-        next_queue = self.queues[qi + 1]
-        next_cap = self.queue_sizes[qi + 1]
-        if not queue:
-            return []
-        window = list(queue)[: self.window]
-        self.energy["select_input"] += len(window)
+        op_ready = core.op_ready
+        try_grant = core.try_grant
+        queues = self.queues
+        tracer = self.tracer
         issued: List[InFlightOp] = []
-        issued_mask: List[bool] = []
-        for op in window:
-            ok = core.op_ready(op, cycle) and core.try_grant(op, cycle)
-            issued_mask.append(ok)
-            if ok:
-                issued.append(op)
-                self.issued_from[qi] += 1
-                self.energy["iq_read"] += 1
-        if issued:
-            # pass non-ready ops that precede the last issued op
-            last_issued = max(i for i, ok in enumerate(issued_mask) if ok)
-            passable = {id(window[i]) for i in range(last_issued) if not issued_mask[i]}
-        else:
-            # no ready op in the window: advance it wholesale
-            passable = {id(op) for op in window}
-        # rebuild the queue prefix: issued ops leave, passable ops move to
-        # the next queue while order allows, the rest stay put
-        for _ in window:
-            queue.popleft()
-        kept: List[InFlightOp] = []
-        passed: List[InFlightOp] = []
-        blocked = False
-        for i, op in enumerate(window):
-            if issued_mask[i]:
-                continue  # left through an issue read port
-            can_pass = (
-                not blocked
-                and id(op) in passable
-                and len(next_queue) + len(passed) < next_cap
-                and len(passed) < self.window
-            )
-            if can_pass:
-                passed.append(op)
+        inputs = 0
+        last = len(queues) - 1
+        # the final queue: strict in-order issue
+        final = queues[last]
+        if final:
+            width = core.config.issue_width
+            while final and len(issued) < width:
+                head = final[0]
+                inputs += 1
+                if not (op_ready(head, cycle) and try_grant(head, cycle)):
+                    break
+                final.popleft()
+                issued.append(head)
+            self.issued_from[last] += len(issued)
+        # each S-IQ, youngest queue last so passes cannot cascade in one cycle
+        passes = 0
+        for qi in range(last - 1, -1, -1):
+            queue = queues[qi]
+            if not queue:
+                continue
+            window = len(queue)
+            if window > self.window:
+                window = self.window
+            inputs += window
+            # ready ops in the window issue; bit i of `leaving` marks
+            # window entry i as gone
+            leaving = 0
+            last_issued = -1
+            for i in range(window):
+                op = queue[i]
+                if op_ready(op, cycle) and try_grant(op, cycle):
+                    issued.append(op)
+                    leaving |= 1 << i
+                    last_issued = i
+            if last_issued >= 0:
+                self.issued_from[qi] += leaving.bit_count()
+                # pass the non-ready ops that precede the last issued op
+                passable = last_issued
             else:
-                kept.append(op)
-                # once an op stays, younger ops must stay too, or a younger
-                # op would reach a downstream queue ahead of an older one
-                blocked = True
-        for op in reversed(kept):
-            queue.appendleft(op)
-        for op in passed:
-            op.iq_index = qi + 1
-            next_queue.append(op)
-            self.trace_steer(op, f"pass->q{qi + 1}")
-            self.passes += 1
-            self.energy["iq_write"] += 1  # physical copy to the next queue
+                # no ready op in the window: advance it wholesale
+                passable = window
+            # passes go in order while the next queue has room; once an
+            # op stays, younger ops must stay too, or a younger op would
+            # reach a downstream queue ahead of an older one
+            next_queue = queues[qi + 1]
+            room = self.queue_sizes[qi + 1] - len(next_queue)
+            for i in range(passable):
+                if leaving >> i & 1:
+                    continue  # left through an issue read port
+                if not room:
+                    break
+                room -= 1
+                op = queue[i]
+                op.iq_index = qi + 1
+                next_queue.append(op)  # physical copy to the next queue
+                leaving |= 1 << i
+                passes += 1
+                if tracer is not None:
+                    self.trace_steer(op, f"pass->q{qi + 1}")
+            if leaving:
+                for i in range(window - 1, -1, -1):  # youngest first
+                    if leaving >> i & 1:
+                        del queue[i]
+        energy = self.energy
+        if inputs:
+            energy["select_input"] += inputs
+        if issued:
+            energy["iq_read"] += len(issued)
+        if passes:
+            self.passes += passes
+            energy["iq_write"] += passes
         return issued
 
     def quiet_signature(self) -> Tuple[int, ...]:

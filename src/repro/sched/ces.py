@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
-from .steering import (SteerDecision, SteerInfo, SteeringScoreboard,
+from .steering import (STALL, SteerDecision, SteerInfo, SteeringScoreboard,
                        decision_counts, figure4_outcomes)
 
 
@@ -57,100 +57,104 @@ class CESScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     # steering
     # ------------------------------------------------------------------
-    def _decide(self, ifop: InFlightOp, cycle: int) -> SteerDecision:
-        ready = self.core.op_ready(ifop, cycle)
-        self.energy["pscb_read"] += max(1, len(ifop.src_pregs))
+    def _decide(self, ifop: InFlightOp, ready: bool) -> SteerDecision:
+        self.energy["pscb_read"] += len(ifop.src_pregs) or 1
         # M-dependence override for loads (steer behind the producer store)
         if self.mda and ifop.is_load and self.core.mdp is not None:
             hint = self.core.mdp.steering_hint(ifop.op.pc)
             if hint is not None and hint.iq_index is not None:
                 queue = self.piqs[hint.iq_index]
                 if queue and len(queue) < self.piq_size and queue[-1].seq == hint.store_seq:
-                    return SteerDecision(
-                        target=hint.iq_index, partition=0, outcome="mda",
-                        ready=ready,
-                    )
+                    return "mda", hint.iq_index, 0, None
         # R-dependence: follow the first source whose producer waits at a tail
         for preg in ifop.src_pregs:
             info = self.steer.get(preg)
             if info is None or info.reserved:
                 continue
             if len(self.piqs[info.iq]) < self.piq_size:
-                return SteerDecision(
-                    target=info.iq, partition=0, outcome="dc",
-                    followed_preg=preg, ready=ready,
-                )
+                return "dc", info.iq, 0, preg
             break  # producer's queue is full: fall through to allocation
         for index, queue in enumerate(self.piqs):
             if not queue:
-                return SteerDecision(target=index, partition=0, outcome="alloc",
-                                     ready=ready)
-        return SteerDecision(target=None, partition=0, outcome="stall",
-                             ready=ready)
+                return "alloc", index, 0, None
+        return STALL
 
     def can_accept(self, ifop: InFlightOp) -> bool:
-        decision = self._decide(ifop, self.core.cycle)
-        self.steer_decisions[decision.outcome, decision.ready] += 1
+        ready = ifop.wake_pending == 0 and not ifop.mdp_waiting
+        decision = self._decide(ifop, ready)
+        self.steer_decisions[decision[0], ready] += 1
         self._pending = decision
         self._pending_seq = ifop.seq
         self.energy["steer"] += 1
-        return decision.target is not None
+        return decision[1] is not None
 
     def insert(self, ifop: InFlightOp, cycle: int) -> None:
         decision = self._pending
         if decision is None or self._pending_seq != ifop.seq:
-            decision = self._decide(ifop, cycle)  # defensive re-decide
+            # defensive re-decide
+            decision = self._decide(ifop, self.core.op_ready(ifop, cycle))
         self._pending = None
         self._apply_steer(ifop, decision)
 
     def _apply_steer(self, ifop: InFlightOp, decision: SteerDecision) -> None:
-        target = decision.target
-        queue = self.piqs[target]
-        queue.append(ifop)
+        outcome, target, _, followed_preg = decision
+        self.piqs[target].append(ifop)
         ifop.iq_index = target
-        self.trace_steer(ifop, f"{decision.outcome}->piq{target}")
+        if self.tracer is not None:
+            self.trace_steer(ifop, f"{outcome}->piq{target}")
         self.energy["iq_write"] += 1
-        if decision.followed_preg is not None:
-            self.steer.reserve(decision.followed_preg, ifop.seq)
-        if decision.outcome == "mda" and self.core.mdp is not None:
+        if followed_preg is not None:
+            self.steer.reserve(followed_preg, ifop.seq)
+        mdp = self.core.mdp
+        if outcome == "mda" and mdp is not None:
             # attribute the reservation to this load so a squash of the
             # load alone releases it (see StoreSetPredictor.flush_from)
-            self.core.mdp.reserve_steering(ifop.op.pc, ifop.seq)
+            mdp.reserve_steering(ifop.op.pc, ifop.seq)
         if ifop.dest_preg is not None:
             self.steer.set(
                 ifop.dest_preg,
                 SteerInfo(iq=target, partition=0, owner_seq=ifop.seq),
             )
             self.energy["pscb_write"] += 1
-        if self.mda and ifop.is_store and self.core.mdp is not None:
-            self.core.mdp.record_store_steering(ifop.op.pc, ifop.seq, target)
+        if self.mda and ifop.is_store and mdp is not None:
+            mdp.record_store_steering(ifop.op.pc, ifop.seq, target)
 
     # ------------------------------------------------------------------
     # issue
     # ------------------------------------------------------------------
     def select(self, cycle: int) -> List[InFlightOp]:
-        core = self.core
+        # each P-IQ head is examined in place; the per-cycle counts add
+        # up in locals
+        try_grant = self.core.try_grant
+        steer_clear = self.steer.clear
         issued: List[InFlightOp] = []
+        empty = wait_operand = wait_mdep = port_conflict = 0
         for queue in self.piqs:
             if not queue:
-                self.head_states["empty"] += 1
+                empty += 1
                 continue
             head = queue[0]
-            self.energy["select_input"] += 1
-            if not core.srcs_ready(head, cycle):
-                self.head_states["wait_operand"] += 1
-                continue
-            if not core.mdp_dep_satisfied(head):
-                self.head_states["wait_mdep"] += 1
-                continue
-            if not core.try_grant(head, cycle):
-                self.head_states["port_conflict"] += 1
-                continue
-            queue.popleft()
-            self.steer.clear(head.dest_preg)
-            self.energy["iq_read"] += 1
-            self.head_states["issue"] += 1
-            issued.append(head)
+            if head.wake_pending:
+                wait_operand += 1
+            elif head.mdp_waiting:
+                wait_mdep += 1
+            elif not try_grant(head, cycle):
+                port_conflict += 1
+            else:
+                queue.popleft()
+                steer_clear(head.dest_preg)
+                issued.append(head)
+        energy = self.energy
+        if empty < self.num_piqs:
+            energy["select_input"] += self.num_piqs - empty
+        if issued:
+            energy["iq_read"] += len(issued)
+        head_states = self.head_states
+        head_states["issue"] += len(issued)
+        head_states["wait_operand"] += wait_operand
+        head_states["wait_mdep"] += wait_mdep
+        head_states["port_conflict"] += port_conflict
+        head_states["empty"] += empty
         return issued
 
     def quiet_counters(self) -> Tuple[Dict, ...]:

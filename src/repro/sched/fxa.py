@@ -37,6 +37,8 @@ class FXAScheduler(SchedulerBase):
     def __init__(self, core, iq_size: int = 48, ixu_depth: int = 3):
         super().__init__(core)
         self.ixu_depth = ixu_depth
+        #: IXU lanes: ops entering, and ALUs executing, per cycle
+        self.ixu_width = core.config.decode_width
         self.backend = OutOfOrderScheduler(core, iq_size=iq_size)
         #: (entered_cycle, ifop); ops leave after ``ixu_depth`` stages
         self._ixu: Deque[Tuple[int, InFlightOp]] = deque()
@@ -47,7 +49,7 @@ class FXAScheduler(SchedulerBase):
     def can_accept(self, ifop: InFlightOp) -> bool:
         # the IXU always accepts (it is a fixed pipeline); back-end pressure
         # surfaces when ops fall out of the IXU, which stalls the IXU flow
-        return len(self._ixu) < self.ixu_depth * self.core.config.decode_width
+        return len(self._ixu) < self.ixu_depth * self.ixu_width
 
     def insert(self, ifop: InFlightOp, cycle: int) -> None:
         self._ixu.append((cycle, ifop))
@@ -57,42 +59,47 @@ class FXAScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     def select(self, cycle: int) -> List[InFlightOp]:
         issued: List[InFlightOp] = []
-        core = self.core
-        # 1) IXU stage walk: execute eligible ready ops in order; ops that
-        #    reach the last stage without executing drop to the back end
-        still: Deque[Tuple[int, InFlightOp]] = deque()
-        ixu_issues = 0
-        while self._ixu:
-            entered, op = self._ixu.popleft()
-            eligible = op.op_class in _IXU_CLASSES
-            self.energy["select_input"] += 1
-            if (
-                eligible
-                and ixu_issues < core.config.decode_width
-                and core.op_ready(op, cycle)
-            ):
-                # executes on an IXU ALU: no back-end port consumed
-                core.ports.unassign(op.port)
-                op.sched_tag = "ixu_exec"
-                self.trace_steer(op, "ixu_exec")
-                self.ixu_executed += 1
-                ixu_issues += 1
-                issued.append(op)
-                continue
-            if cycle - entered >= self.ixu_depth - 1:
-                # fell out of the IXU: needs a back-end IQ entry
-                if self.backend.can_accept(op):
-                    self.backend.insert(op, cycle)
+        ixu = self._ixu
+        if ixu:
+            # 1) IXU stage walk, in place: execute eligible ready ops in
+            #    order; ops that reach the last stage without executing
+            #    drop to the back end, and a full back end stalls the walk
+            core = self.core
+            backend = self.backend
+            tracer = self.tracer
+            width = self.ixu_width
+            last_stage_entry = cycle - self.ixu_depth + 1
+            examined = len(ixu)
+            executed = 0
+            leaving: List[int] = []  # IXU positions, oldest first
+            for position, (entered, op) in enumerate(ixu):
+                if (
+                    executed < width
+                    and op.op_class in _IXU_CLASSES
+                    and op.wake_pending == 0 and not op.mdp_waiting
+                ):
+                    # executes on an IXU ALU: no back-end port consumed
+                    core.ports.unassign(op.port)
+                    op.sched_tag = "ixu_exec"
+                    if tracer is not None:
+                        self.trace_steer(op, "ixu_exec")
+                    issued.append(op)
+                    executed += 1
+                    leaving.append(position)
+                elif entered <= last_stage_entry:
+                    # fell out of the IXU: needs a back-end IQ entry
+                    if not backend.can_accept(op):
+                        examined = position + 1
+                        break  # back-end full: stall here
+                    backend.insert(op, cycle)
                     op.sched_tag = "backend"
-                    self.trace_steer(op, "to_backend")
-                else:
-                    still.append((entered, op))  # back-end full: stall here
-                    break
-            else:
-                still.append((entered, op))
-        while self._ixu:
-            still.append(self._ixu.popleft())
-        self._ixu = still
+                    if tracer is not None:
+                        self.trace_steer(op, "to_backend")
+                    leaving.append(position)
+            self.energy["select_input"] += examined
+            self.ixu_executed += executed
+            for position in reversed(leaving):
+                del ixu[position]
         # 2) back-end out-of-order issue
         backend_issued = self.backend.select(cycle)
         self.backend_issued += len(backend_issued)
@@ -127,7 +134,7 @@ class FXAScheduler(SchedulerBase):
         seqs = [op.seq for _, op in self._ixu]
         assert seqs == sorted(seqs), f"IXU out of program order: {seqs}"
         assert (
-            len(self._ixu) <= self.ixu_depth * self.core.config.decode_width
+            len(self._ixu) <= self.ixu_depth * self.ixu_width
         ), "IXU overflow"
         self.backend.check_invariants()
 

@@ -17,7 +17,8 @@ Implementation constraints from the paper (evaluated by the ``ideal`` knob):
 3. only one partition's head is examined per cycle (single read port); the
    active head stays after issuing (back-to-back single-cycle issue) and
    otherwise toggles to give the other chain a chance — the paper's
-   head-selection policy.
+   head-selection policy.  The scheduler's select applies it in place
+   through :attr:`SharedPIQ.active` (see ``BallerinoScheduler.select``).
 
 With ``ideal=True`` constraints 2 and 3 are lifted (sharing is allowed at
 any pointer position and both heads may issue in one cycle), matching the
@@ -59,10 +60,6 @@ class SharedPIQ:
     def occupancy(self) -> int:
         return self.count
 
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
-
     def partition_capacity(self) -> int:
         return self.size // 2 if self.sharing else self.size
 
@@ -97,15 +94,15 @@ class SharedPIQ:
         self.share_activations += 1
         return 1
 
-    def _maybe_collapse(self) -> Optional[Dict[int, int]]:
+    def collapse(self) -> Optional[Dict[int, int]]:
         """Drop back to normal mode once a partition drains.
 
-        Returns the partition-index remap applied (``{1: 0}`` when the
-        surviving chain moved from partition 1 to partition 0), or
-        ``None`` when nothing changed.  Callers holding partition indices
-        captured *before* the collapse — the steering scoreboard, LFST
-        steering hints, and the select loop's issued-partition record —
-        must translate them through this remap or they dangle.
+        Returns the partition-index remap applied (``{1: 0}``: partition 1
+        ceased to exist, or its chain moved to partition 0), or ``None``
+        when nothing changed.  Callers holding partition indices captured
+        *before* the collapse — the steering scoreboard and the LFST
+        steering hints — must translate them through this remap or they
+        dangle.
         """
         if self.sharing:
             if not self.partitions[1]:
@@ -153,67 +150,29 @@ class SharedPIQ:
             return [(other, queue[0])] if queue else []
         return [(self.active, queue[0])]
 
-    def pop_head(self, partition: int, collapse: bool = True) -> InFlightOp:
+    def pop_head(self, partition: int) -> InFlightOp:
         """Issue the head of ``partition``.
 
-        ``collapse=False`` defers the normal-mode collapse so that a caller
-        iterating over ``active_heads()`` pairs (ideal mode examines both)
-        keeps stable partition indices; it must call :meth:`collapse_idle`
-        afterwards.
+        A drained partition stays until the caller calls :meth:`collapse`,
+        so a caller examining both heads (ideal sharing) keeps stable
+        partition indices while it pops.
         """
         ifop = self.partitions[partition].popleft()
         self.count -= 1
-        if collapse:
-            self._maybe_collapse()
         return ifop
-
-    def collapse_idle(self) -> Optional[Dict[int, int]]:
-        """Public deferred-collapse hook (see :meth:`pop_head`).
-
-        Returns the partition remap (see :meth:`_maybe_collapse`) so the
-        caller can fix up any partition indices captured pre-collapse.
-        """
-        return self._maybe_collapse()
-
-    def end_cycle(self, issued_partition: Optional[int]) -> None:
-        """Head-pointer selection for the next cycle (paper §IV-D).
-
-        Keep the current head after a successful issue (back-to-back);
-        otherwise hand the single read port to the other chain.
-
-        ``issued_partition`` must be a *current* partition index: a caller
-        that popped heads before :meth:`collapse_idle` ran has to translate
-        the index it recorded through the returned remap first, or
-        ``active`` would be pointed at a partition that no longer holds
-        the issued chain.
-        """
-        if not self.sharing or self.ideal:
-            self.active = 0
-            return
-        if issued_partition is not None:
-            if issued_partition >= len(self.partitions):
-                raise RuntimeError(
-                    f"end_cycle handed stale partition {issued_partition} "
-                    f"(queue has {len(self.partitions)})"
-                )
-            self.active = issued_partition
-        else:
-            other = 1 - self.active
-            if self.partitions[other]:
-                self.active = other
 
     # ------------------------------------------------------------------
     def flush_from(self, seq: int) -> Optional[Dict[int, int]]:
         """Squash every entry with ``seq >=`` the flush point.
 
         Returns the partition remap if the flush drained a partition and
-        collapsed the queue (same contract as :meth:`collapse_idle`).
+        collapsed the queue (same contract as :meth:`collapse`).
         """
         for queue in self.partitions:
             while queue and queue[-1].seq >= seq:
                 queue.pop()
                 self.count -= 1
-        return self._maybe_collapse()
+        return self.collapse()
 
     def debug_check(self) -> None:
         """Structural invariants (used by the verify subsystem).
@@ -229,6 +188,16 @@ class SharedPIQ:
         assert 0 <= self.active < len(self.partitions), (
             f"active partition {self.active} dangles "
             f"({len(self.partitions)} partitions)"
+        )
+        # select hands a stalled head's read port to the other chain
+        # without looking: it relies on a sharing queue never keeping
+        # a drained partition between cycles
+        assert not self.sharing or all(self.partitions), (
+            f"sharing queue kept a drained partition: "
+            f"{[len(p) for p in self.partitions]}"
+        )
+        assert self.active == 0 or (self.sharing and not self.ideal), (
+            f"active partition {self.active} outside real sharing"
         )
         cap = self.partition_capacity() if not self.ideal else self.size
         for index, queue in enumerate(self.partitions):

@@ -24,15 +24,16 @@ class SteerInfo:
     reserved_by: int = -1  # consumer seq holding the reservation
 
 
-@dataclass
-class SteerDecision:
-    """Outcome of one steering attempt at the head of dispatch/S-IQ."""
+#: Outcome of one steering attempt at the head of dispatch/S-IQ, as
+#: ``(outcome, target, partition, followed_preg)``: ``outcome`` is one of
+#: "dc" | "mda" | "alloc" | "share" | "stall", ``target`` the P-IQ index
+#: (``None`` on a steering stall) and ``followed_preg`` the source whose
+#: producer the op was steered behind.  A plain tuple: deciding runs no
+#: constructor.  The caller knows whether the op was ready.
+SteerDecision = Tuple[str, Optional[int], int, Optional[int]]
 
-    target: Optional[int]  # P-IQ index, or None on a steering stall
-    partition: int
-    outcome: str  # "dc" | "mda" | "alloc" | "share" | "stall"
-    followed_preg: Optional[int] = None  # src whose producer we followed
-    ready: bool = False  # was the op ready-at-dispatch?
+#: the decision that stalls steering
+STALL: SteerDecision = ("stall", None, 0, None)
 
 
 class SteeringScoreboard:
@@ -91,7 +92,7 @@ class SteeringScoreboard:
 
 def decision_counts(outcomes: Sequence[str]) -> Dict[Tuple[str, bool], int]:
     """Zeroed steering-decision counts keyed ``(outcome, ready)``, where
-    ``ready`` is :attr:`SteerDecision.ready`."""
+    ``ready`` says whether the steered op was ready."""
     return {(outcome, ready): 0 for outcome in outcomes
             for ready in (True, False)}
 

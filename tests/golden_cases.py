@@ -125,6 +125,9 @@ BOUNDARIES["series7/pointer_chase/ooo"] = _series("pointer_chase", 800, "ooo")
 BOUNDARIES["series7/stream_triad/ballerino"] = _series(
     "stream_triad", 2000, "ballerino")
 BOUNDARIES["series7/histogram/ces"] = _series("histogram", 2000, "ces")
+# CASINO's pass->qN and FXA's ixu_exec/to_backend steer causes
+BOUNDARIES["series7/dag_wide/casino"] = _series("dag_wide", 2000, "casino")
+BOUNDARIES["series7/dag_wide/fxa"] = _series("dag_wide", 2000, "fxa")
 
 
 def record() -> Dict:

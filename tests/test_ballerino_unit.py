@@ -66,26 +66,27 @@ def sched():
 
 class TestSteeringDecisions:
     def test_no_producer_allocates_empty_piq(self, sched):
-        decision = sched._decide(make_op(0), ready=False)
-        assert decision.outcome == "alloc"
-        assert decision.target == 0
+        outcome, target, _, _ = sched._decide(make_op(0), ready=False)
+        assert outcome == "alloc"
+        assert target == 0
 
     def test_follows_producer_at_tail(self, sched):
         producer = make_op(0, dest_preg=50)
         sched._apply_steer(producer, sched._decide(producer, ready=False))
         consumer = make_op(1, dest_preg=51, src_pregs=(50,))
-        decision = sched._decide(consumer, ready=False)
-        assert decision.outcome == "dc"
-        assert decision.target == producer.iq_index
-        assert decision.followed_preg == 50
+        outcome, target, _, followed_preg = sched._decide(consumer,
+                                                           ready=False)
+        assert outcome == "dc"
+        assert target == producer.iq_index
+        assert followed_preg == 50
 
     def test_ready_op_never_follows_chain(self, sched):
         """Paper case 3: a ready op becomes a new dependence head."""
         producer = make_op(0, dest_preg=50)
         sched._apply_steer(producer, sched._decide(producer, ready=False))
         consumer = make_op(1, dest_preg=51, src_pregs=(50,))
-        decision = sched._decide(consumer, ready=True)
-        assert decision.outcome == "alloc"
+        outcome, _, _, _ = sched._decide(consumer, ready=True)
+        assert outcome == "alloc"
 
     def test_chain_split_allocates_new_queue(self, sched):
         producer = make_op(0, dest_preg=50)
@@ -94,9 +95,9 @@ class TestSteeringDecisions:
         sched._apply_steer(first, sched._decide(first, ready=False))
         # the second consumer of preg 50 sees Reserved and splits
         second = make_op(2, dest_preg=52, src_pregs=(50,))
-        decision = sched._decide(second, ready=False)
-        assert decision.outcome == "alloc"
-        assert decision.target != producer.iq_index
+        outcome, target, _, _ = sched._decide(second, ready=False)
+        assert outcome == "alloc"
+        assert target != producer.iq_index
 
     def test_full_queue_allocates_new(self, sched):
         ops = [make_op(0, dest_preg=50)]
@@ -105,9 +106,9 @@ class TestSteeringDecisions:
             op = make_op(i, dest_preg=50 + i, src_pregs=(50 + i - 1,))
             sched._apply_steer(op, sched._decide(op, ready=False))
         overflow = make_op(9, dest_preg=60, src_pregs=(53,))
-        decision = sched._decide(overflow, ready=False)
-        assert decision.outcome in ("alloc", "share")
-        assert decision.target != 0 or decision.partition == 1
+        outcome, target, partition, _ = sched._decide(overflow, ready=False)
+        assert outcome in ("alloc", "share")
+        assert target != 0 or partition == 1
 
     def test_sharing_when_no_empty_queue(self, sched):
         # occupy all three queues with one op each (all <= half full)
@@ -116,10 +117,11 @@ class TestSteeringDecisions:
             sched._apply_steer(op, sched._decide(op, ready=False))
         op = make_op(5, dest_preg=60)
         decision = sched._decide(op, ready=False)
-        assert decision.outcome == "share"
-        assert decision.partition == 1
+        outcome, target, partition, _ = decision
+        assert outcome == "share"
+        assert partition == 1
         sched._apply_steer(op, decision)
-        assert sched.piqs[decision.target].sharing
+        assert sched.piqs[target].sharing
 
     def test_stall_when_nothing_shareable(self):
         core = FakeCore()
@@ -132,9 +134,9 @@ class TestSteeringDecisions:
             op = make_op(i, dest_preg=50 + i, src_pregs=(50 + i - 1,))
             sched._apply_steer(op, sched._decide(op, ready=False))
         stranger = make_op(9, dest_preg=70)
-        decision = sched._decide(stranger, ready=False)
-        assert decision.outcome == "stall"
-        assert decision.target is None
+        outcome, target, _, _ = sched._decide(stranger, ready=False)
+        assert outcome == "stall"
+        assert target is None
 
     def test_sharing_disabled_stalls_instead(self):
         core = FakeCore()
@@ -143,7 +145,7 @@ class TestSteeringDecisions:
         root = make_op(0, dest_preg=50)
         sched._apply_steer(root, sched._decide(root, ready=False))
         stranger = make_op(1, dest_preg=51)
-        assert sched._decide(stranger, ready=False).outcome == "stall"
+        assert sched._decide(stranger, ready=False)[0] == "stall"
 
 
 class TestMDASteering:
@@ -159,9 +161,9 @@ class TestMDASteering:
         mdp.store_dispatched(pc=3, seq=0)
         sched._apply_steer(store, sched._decide(store, ready=False))
         load = make_op(1, name="load", dest_preg=60, src_pregs=(9,), pc=7)
-        decision = sched._decide(load, ready=False)
-        assert decision.outcome == "mda"
-        assert decision.target == store.iq_index
+        outcome, target, _, _ = sched._decide(load, ready=False)
+        assert outcome == "mda"
+        assert target == store.iq_index
 
     def test_second_load_cannot_reuse_hint(self):
         sched, mdp = self._with_mdp()
@@ -171,7 +173,7 @@ class TestMDASteering:
         first = make_op(1, name="load", dest_preg=60, src_pregs=(9,), pc=7)
         sched._apply_steer(first, sched._decide(first, ready=False))
         second = make_op(2, name="load", dest_preg=61, src_pregs=(9,), pc=7)
-        assert sched._decide(second, ready=False).outcome != "mda"
+        assert sched._decide(second, ready=False)[0] != "mda"
 
     def test_mda_disabled_ignores_hint(self):
         mdp = StoreSetPredictor()
@@ -183,7 +185,7 @@ class TestMDASteering:
         mdp.store_dispatched(pc=3, seq=0)
         sched._apply_steer(store, sched._decide(store, ready=False))
         load = make_op(1, name="load", dest_preg=60, src_pregs=(9,), pc=7)
-        assert sched._decide(load, ready=False).outcome != "mda"
+        assert sched._decide(load, ready=False)[0] != "mda"
 
 
 class TestIssueClearsSteering:
@@ -198,4 +200,4 @@ class TestIssueClearsSteering:
         assert sched.steer.get(50) is None
         # a later consumer must now allocate a fresh queue
         consumer = make_op(1, dest_preg=51, src_pregs=(50,))
-        assert sched._decide(consumer, ready=False).outcome == "alloc"
+        assert sched._decide(consumer, ready=False)[0] == "alloc"

@@ -125,11 +125,13 @@ class TestSharedPIQProperties:
                 if piq.has_space(partition):
                     piq.append(ifop(seq), partition)
                     seq += 1
-            elif action == "pop" and not piq.empty:
+            elif action == "pop" and piq.count:
                 heads = piq.active_heads()
                 if heads:
                     partition, _ = heads[0]
                     piq.pop_head(partition)
+                    if not piq.partitions[partition]:
+                        piq.collapse()  # as select does after a drain
             # invariants
             assert piq.occupancy() <= piq.size
             assert 1 <= len(piq.partitions) <= 2

@@ -87,8 +87,8 @@ class TestBug2CollapseRemap:
 
     def test_collapse_reports_remap_and_moves_chain(self):
         piq = self._sharing_piq()
-        assert piq.pop_head(0, collapse=False).seq == 0
-        remap = piq.collapse_idle()
+        assert piq.pop_head(0).seq == 0
+        remap = piq.collapse()
         assert remap == {1: 0}
         assert not piq.sharing
         assert [op.seq for op in piq.partitions[0]] == [1, 2]
