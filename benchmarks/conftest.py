@@ -2,10 +2,10 @@
 
 One :class:`ExperimentRunner` at the report's settings (``DEFAULT_OPS``
 micro-ops per trace, seed ``DEFAULT_SEED``) serves the whole session, with
-one worker process per CPU.  Its result cache is a throwaway directory:
-the cache key ignores most of ``CoreConfig`` and all of the simulator's
-code, so a warm ``.bench_cache`` could feed the gate numbers from older
-code.  The runner is closed at session end, so no worker outlives pytest.
+one worker process per CPU.  Its result cache is a throwaway directory,
+so the claims are checked against a cold simulation of every cell, not
+against results an earlier run stored.  The runner is closed at session
+end, so no worker outlives pytest.
 """
 
 import os

@@ -353,10 +353,8 @@ SEEDS = (7, 101, 2024)
 def _mdp(runner: ExperimentRunner) -> Dict[str, Dict]:
     """Order violations with and without MDP, and MDP's speedup."""
     ooo = config_for("ooo")
-    # renamed by hand: the cache key hashes the config's name, not
-    # mdp_enabled, so the no-MDP cell would be served the MDP result
-    configs = {"mdp": ooo, "none": dataclasses.replace(
-        ooo, mdp_enabled=False, name="ooo-8w-nomdp")}
+    configs = {"mdp": ooo,
+               "none": dataclasses.replace(ooo, mdp_enabled=False)}
     runs = _grid(runner, configs, MDP_KERNELS)
     return {
         w: {
@@ -378,10 +376,8 @@ def _prefetch(runner: ExperimentRunner) -> Dict[str, Dict[str, float]]:
     for arch in ("inorder", "ballerino", "ooo"):
         cfg = config_for(arch)
         configs[(arch, "with")] = cfg
-        # renamed by hand: the cache key hashes the name, not the hierarchy
         configs[(arch, "without")] = dataclasses.replace(
-            cfg, hierarchy=dataclasses.replace(cfg.hierarchy, prefetch=False),
-            name=f"{arch}-nopf")
+            cfg, hierarchy=dataclasses.replace(cfg.hierarchy, prefetch=False))
     out: Dict[str, Dict[str, float]] = {}
     for (arch, mode), runs in _grid(runner, configs, STREAMY).items():
         out.setdefault(arch, {})[mode] = geomean(r.ipc for r in runs.values())

@@ -10,10 +10,15 @@ until :meth:`ExperimentRunner.close`; the disk cache is the merge point,
 so parallel and serial execution are byte-identical and every later
 lookup is a hit.
 
-Cache entries are written atomically (``*.tmp`` + ``os.replace``) so
-concurrent workers can never expose a torn file, and a corrupt,
-truncated, zero-byte or unreadable entry is treated as a miss (and
-counted on :attr:`ExperimentRunner.cache_warnings`), never a crash.
+A cell's cache key (:meth:`ExperimentRunner.key_for`) hashes
+everything that decides its result: the workload, op count and seed,
+every field of its :class:`~repro.core.config.CoreConfig` and a digest
+of the simulator's own source (:func:`model_digest`).  Cache entries are
+written atomically (``*.tmp`` + ``os.replace``) so concurrent workers
+can never expose a torn file, and :meth:`ExperimentRunner.read_entry` is
+the one reader of an entry: a corrupt, truncated, zero-byte, unreadable
+or stale one is treated as a miss (and counted on
+:attr:`ExperimentRunner.cache_warnings`), never a crash.
 
 Campaign fault tolerance (see docs/robustness.md): ``run_many`` submits
 each cell as its own future, enforces a per-task wall-clock timeout,
@@ -36,6 +41,8 @@ Environment knobs:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -46,11 +53,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.config import CoreConfig, config_for
 from ..core.pipeline import SimulationDeadlock, simulate
-from ..core.stats import RESULT_SCHEMA_VERSION, SimResult
+from ..core.stats import SimResult
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.runlog import RunLog
 from ..telemetry.spans import SpanContext, SpanRecorder, derive_span_id
@@ -70,6 +78,41 @@ Task = Union[
     Tuple[str, CoreConfig],
     Tuple[str, CoreConfig, Optional[int]],
 ]
+
+#: The package whose source decides every result: all of ``src/repro/``
+#: (the model, and the telemetry that fills fields such as
+#: ``SimResult.interval_samples``).
+_MODEL_ROOT = Path(__file__).resolve().parents[1]
+
+#: The fields a current cache entry carries: every field of SimResult.
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimResult))
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """SHA-256 over the path and bytes of every ``.py`` under ``src/repro/``.
+
+    Part of every cache key, so an entry written by other code is never
+    looked up.  Computed on first use, once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(_MODEL_ROOT.rglob("*.py")):
+        source = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{path.relative_to(_MODEL_ROOT).as_posix()} "
+                      f"{source}\n".encode())
+    return digest.hexdigest()
+
+
+class CacheEntry(NamedTuple):
+    """One disk-cache entry as :meth:`ExperimentRunner.read_entry` found it.
+
+    ``kind`` is ``absent``, ``ok``, ``corrupt`` or ``stale-schema``;
+    ``detail`` says what is wrong with a bad entry, and ``result`` is
+    set only when the entry is ``ok``.
+    """
+
+    kind: str
+    detail: str = ""
+    result: Optional[SimResult] = None
 
 
 @dataclass
@@ -391,44 +434,27 @@ class ExperimentRunner:
             )
 
     # ------------------------------------------------------------------
-    def _key(self, workload: str, config: CoreConfig, seed: int) -> str:
-        blob = json.dumps(
-            {
-                # key on the result schema so stale on-disk entries are
-                # skipped (not silently deserialized) after field changes
-                "schema": RESULT_SCHEMA_VERSION,
-                "workload": workload,
-                "ops": self.target_ops,
-                "seed": seed,
-                "config": config.name,
-                "sched": vars(config.scheduler) if hasattr(config.scheduler, "__dict__")
-                else str(config.scheduler),
-                # sampled and full runs of the same cell coexist in one
-                # cache: the sampling knobs join the key whenever the
-                # config samples (None keeps full-run keys stable
-                # across knob-default changes)
-                "sampling": (
-                    [config.sample_period, config.sample_window,
-                     config.warmup_cycles, config.ff_width,
-                     config.ff_warmup_ops]
-                    if getattr(config, "sample_period", 0) else None
-                ),
-            },
-            sort_keys=True,
-            default=str,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
     def key_for(self, workload: str, config: CoreConfig,
                 seed: Optional[int] = None) -> str:
-        """Public cell-key derivation (the disk-cache / run-log key).
+        """A cell's key: its disk-cache entry name and run-log ``key``.
 
-        The reconciliation detector (:mod:`repro.distrib.reconcile`)
-        uses it to line up the expected campaign matrix against cache
-        entries and run-log records; ``seed=None`` resolves to the
-        runner's default, matching :meth:`run` / :meth:`run_many`.
+        Hashes the workload, op count, seed, every field of ``config``
+        (scheduler parameters and memory hierarchy included) and
+        :func:`model_digest`, so two cells share a key only when the
+        same code simulates the same machine.  ``seed=None`` resolves to
+        the runner's default, matching :meth:`run` / :meth:`run_many`.
         """
-        return self._key(workload, config, self.seed if seed is None else seed)
+        blob = json.dumps(
+            {
+                "model": model_digest(),
+                "workload": workload,
+                "ops": self.target_ops,
+                "seed": self.seed if seed is None else seed,
+                "config": dataclasses.asdict(config),
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def cache_path(self, key: str) -> Optional[Path]:
         """Where ``key``'s disk-cache entry lives (None: cache disabled)."""
@@ -451,57 +477,67 @@ class ExperimentRunner:
         if self.metrics is not None:
             self.metrics.count("runner.cache_warnings")
 
-    def _load_disk(self, key: str) -> Optional[SimResult]:
-        """Fetch one disk-cache entry; any unusable entry is a miss.
+    def read_entry(self, key: str, workload: str) -> CacheEntry:
+        """Classify ``key``'s disk-cache entry without changing it.
 
-        Tolerates (and counts on :attr:`cache_warnings`) corrupt JSON,
-        zero-byte files from a crashed pre-atomic writer, and unreadable
-        entries (permissions, transient IO errors).  Unreadable files are
-        left in place — the next writer's ``os.replace`` repairs them;
-        corrupt ones are deleted so they get re-simulated exactly once.
+        The one reader of cache entries: the runner serves an ``ok``
+        entry, and the reconciliation detector reports the same verdict
+        for every cell.  A bad entry is ``stale-schema`` when fields are
+        missing, and otherwise ``corrupt``: ``unreadable`` (permissions,
+        IO errors), ``binary-garbage``, ``zero-byte``, ``invalid-json``,
+        ``not-an-object``, ``misfiled`` (its payload names another
+        workload) or ``undeserialisable``.
         """
-        if self.cache_dir is None:
-            return None
-        path = self.cache_dir / f"{key}.json"
-        if not path.exists():
-            return None
+        path = self.cache_path(key)
+        if path is None:
+            return CacheEntry("absent", "cache disabled")
         try:
             text = path.read_text()
+        except FileNotFoundError:
+            return CacheEntry("absent")
         except OSError:
-            self._cache_warning(key, "unreadable")
-            return None
+            return CacheEntry("corrupt", "unreadable")
         except UnicodeDecodeError:
-            # binary garbage where JSON should be: definitely corrupt
-            self._cache_warning(key, "binary-garbage")
-            self._discard_entry(path)
-            return None
+            return CacheEntry("corrupt", "binary-garbage")
         if not text.strip():
-            self._cache_warning(key, "zero-byte")
-            self._discard_entry(path)
-            return None
+            return CacheEntry("corrupt", "zero-byte")
         try:
-            return SimResult.from_dict(json.loads(text))
-        except (ValueError, KeyError, TypeError):
-            # truncated / corrupt (e.g. a worker died mid-write before
-            # writes were atomic): drop it and re-simulate
-            self._cache_warning(key, "corrupt")
-            self._discard_entry(path)
-            return None
-
-    @staticmethod
-    def _discard_entry(path: Path) -> None:
+            data = json.loads(text)
+        except ValueError:
+            return CacheEntry("corrupt", "invalid-json")
+        if not isinstance(data, dict):
+            return CacheEntry("corrupt", "not-an-object")
+        missing = [name for name in _RESULT_FIELDS if name not in data]
+        if missing:
+            return CacheEntry("stale-schema",
+                              f"missing fields: {', '.join(missing)}")
+        if data["workload"] != workload:
+            return CacheEntry("corrupt", "misfiled: payload claims workload "
+                                         f"{data['workload']!r}")
         try:
-            path.unlink()
-        except OSError:
-            pass
+            return CacheEntry("ok", result=SimResult.from_dict(data))
+        except (KeyError, TypeError, ValueError) as exc:
+            return CacheEntry("corrupt", f"undeserialisable: {exc}")
 
-    def _fetch_cached(self, key: str) -> Optional[SimResult]:
-        """Memory-then-disk lookup; counts a hit when found."""
+    def _fetch_cached(self, key: str, workload: str) -> Optional[SimResult]:
+        """Memory-then-disk lookup; counts a hit when found.
+
+        A bad disk entry is a miss with a cache warning.  It is deleted,
+        so the cell re-simulates exactly once, unless it could not be
+        read at all: the next writer's ``os.replace`` repairs that."""
         result = self._memory.get(key)
         if result is None:
-            result = self._load_disk(key)
+            entry = self.read_entry(key, workload)
+            result = entry.result
             if result is not None:
                 self._memory[key] = result
+            elif entry.kind != "absent":
+                self._cache_warning(key, entry.detail)
+                if entry.detail != "unreadable":
+                    try:
+                        self.cache_path(key).unlink()
+                    except OSError:
+                        pass
         if result is not None:
             self.cache_hits += 1
         return result
@@ -514,8 +550,8 @@ class ExperimentRunner:
         sensitivity studies; the cache distinguishes seeds.
         """
         seed = self.seed if seed is None else seed
-        key = self._key(workload, config, seed)
-        result = self._fetch_cached(key)
+        key = self.key_for(workload, config, seed)
+        result = self._fetch_cached(key, workload)
         if result is not None:
             self._log("cache_hit", key=key, workload=workload,
                       config=config.name, seed=seed,
@@ -616,7 +652,7 @@ class ExperimentRunner:
             workload, config = task[0], task[1]
             seed = task[2] if len(task) > 2 and task[2] is not None else self.seed
             norm.append((workload, config, seed))
-        keys = [self._key(w, c, s) for w, c, s in norm]
+        keys = [self.key_for(w, c, s) for w, c, s in norm]
         jobs = self.jobs if jobs is None else max(1, jobs)
         timeout = self.task_timeout if timeout is None else (timeout or None)
         retries = self.retries if retries is None else max(0, retries)
@@ -638,7 +674,7 @@ class ExperimentRunner:
             for key, triple in zip(keys, norm):
                 if key in pending or key in self.quarantined:
                     continue
-                if self._fetch_cached(key) is None:
+                if self._fetch_cached(key, triple[0]) is None:
                     pending[key] = triple
                 elif key not in logged_hits:
                     logged_hits.add(key)

@@ -212,18 +212,6 @@ class Pipeline:
     # ==================================================================
     # services used by schedulers
     # ==================================================================
-    def srcs_ready(self, ifop: InFlightOp, cycle: int) -> bool:
-        # O(1): the wakeup scoreboard keeps this count current (each
-        # completion decrements its consumers during the completion phase
-        # of the cycle it lands in — exactly when a per-src poll of the
-        # ReadyFile would have started returning True).
-        return ifop.wake_pending == 0
-
-    def mdp_dep_satisfied(self, ifop: InFlightOp) -> bool:
-        # O(1): set at dispatch iff the dependence store had not issued
-        # yet, cleared by the store's issue broadcast.
-        return not ifop.mdp_waiting
-
     def op_ready(self, ifop: InFlightOp, cycle: int) -> bool:
         """All register operands ready and any MDP dependence satisfied."""
         return ifop.wake_pending == 0 and not ifop.mdp_waiting
@@ -234,9 +222,6 @@ class Pipeline:
         cols = self.cols
         return self.ports.grant(ifop.port, ifop.op_class, cycle,
                                 cols.latency[seq], cols.pipelined[seq])
-
-    def producer_incomplete(self, preg: int, cycle: int) -> bool:
-        return not self.ready.is_ready(preg, cycle)
 
     # ==================================================================
     # main loop

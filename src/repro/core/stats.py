@@ -20,14 +20,6 @@ from typing import Dict, List
 CLASSES = ("Ld", "LdC", "Rst")
 SEGMENTS = ("decode_to_dispatch", "dispatch_to_ready", "ready_to_issue")
 
-#: Version of the serialized :class:`SimResult` layout.  Cache layers mix
-#: this into their keys so on-disk entries self-invalidate whenever the
-#: result schema changes (bump it when adding/removing fields).
-#: v3: SimResult grew ``interval_samples`` / ``sample_interval``.
-#: v4: SimResult grew ``sampled`` / ``sampling`` (sampled-simulation
-#: extrapolation metadata; see :mod:`repro.core.sampling`).
-RESULT_SCHEMA_VERSION = 4
-
 
 @dataclass
 class DelayBreakdown:

@@ -12,9 +12,8 @@ Two layers (see docs/robustness.md):
   cells to shards by salted hash; ``run_shard`` executes one shard
   through the fault-tolerant :class:`~repro.analysis.runner.
   ExperimentRunner`, streaming its per-worker JSONL run-log; and
-  ``merge_shards`` restores deterministic (submission-order) results
-  from out-of-order shard completions via the
-  :class:`~repro.serve.resequencer.Resequencer`.
+  ``merge_shards`` lays the detector's verdicts out as deterministic
+  (submission-order) results.
 * :mod:`repro.distrib.reconcile` — a *detector* three-way-diffs the
   expected matrix against the disk cache and the merged run-logs,
   classifying every cell; an *engine* turns the diff into a typed

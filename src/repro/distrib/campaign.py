@@ -15,13 +15,11 @@ and the shared disk cache as the merge point — exactly the PR-2/PR-4
 contract, now spanning hosts that share the cache directory (NFS, a
 synced bucket, or one machine's disk).
 
-The **merge stage** reads every shard's run-log — tolerantly, because
-a shard that died mid-write leaves a torn log — and restores the
-deterministic submission order via the
-:class:`~repro.serve.resequencer.Resequencer` (correlation key = cell
-key, sequence = submission index).  Gaps in the resequenced stream are
-exactly the cells a dead shard owed; they feed the reconciliation
-layer (:mod:`repro.distrib.reconcile`).
+The **merge stage** walks the reconciliation detector's verdicts
+(:mod:`repro.distrib.reconcile`) in submission order: healthy cells
+merge their cached results, quarantined ones their failure records, and
+every other cell is a gap — the cells a dead shard owed, or whose
+result was lost, which ``repro reconcile`` repairs.
 
 The campaign **manifest** (``campaign.json``) pins the matrix, shard
 count, salt, ops and default seed, so every shard — and a later
@@ -41,8 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..analysis.runner import ExperimentRunner, FailedResult
 from ..core.stats import SimResult
 from ..serve.protocol import Cell, expand_matrix, result_envelope
-from ..serve.resequencer import Resequencer
-from ..telemetry.runlog import read_run_log_tolerant
 from ..telemetry.spans import (Span, SpanContext, SpanRecorder,
                                derive_span_id, derive_trace_id, merge_spans,
                                read_spans, spans_to_chrome, write_spans)
@@ -85,7 +81,7 @@ def shard_cells(
 
     Returns ``n_shards`` lists of ``(seq, cell)`` pairs; ``seq`` is the
     cell's index in the campaign's deterministic expansion order, which
-    the merge stage later uses as the resequencer sequence number.
+    the merge stage restores.
     Every cell lands in exactly one shard.
     """
     shards: List[List[Tuple[int, Cell]]] = [[] for _ in range(n_shards)]
@@ -298,26 +294,19 @@ def run_shard(
 # merge stage
 # ---------------------------------------------------------------------------
 
-#: Run-log events that prove a cell produced a (healthy) result.
-_FINISH_EVENTS = ("finish", "cache_hit")
-
 
 @dataclass
 class MergedCampaign:
-    """Submission-ordered merge of every shard's out-of-order stream."""
+    """Submission-ordered merge of every shard's results."""
 
     spec: CampaignSpec
     #: ordered result envelopes (``seq``/``cell``/``ok``/``result``),
-    #: the contiguous prefix the resequencer could release
+    #: the contiguous prefix before the first gap
     envelopes: List[Dict] = field(default_factory=list)
-    #: submission indices still owed a result (the resequencer's gaps)
+    #: submission indices still owed a result
     gaps: List[int] = field(default_factory=list)
     #: damaged run-log lines skipped across all shard logs
     skipped_lines: int = 0
-    #: shard logs found (shard index -> record count)
-    shard_records: Dict[int, int] = field(default_factory=dict)
-    #: cells whose log said finished but whose cache entry was unusable
-    unreadable: List[int] = field(default_factory=list)
     #: cells with no log account whose healthy cache entry merged anyway
     #: (their lifecycle records were lost to log damage)
     unlogged: List[int] = field(default_factory=list)
@@ -340,94 +329,53 @@ def merge_shards(
     cache_dir: Optional[str] = None,
     write: bool = True,
 ) -> MergedCampaign:
-    """Merge every shard run-log into one submission-ordered stream.
+    """Merge the campaign into one submission-ordered result stream.
 
-    Completions arrive in whatever order the shards (and their workers)
-    finished; the :class:`Resequencer` — correlation key = cell key,
-    sequence = submission index — releases the contiguous ordered
-    prefix and names the gaps.  Results themselves are loaded from the
-    shared cache (the run-log carries lifecycle, not payloads);
-    quarantined cells merge as structured failures, mirroring
-    ``run_many``'s in-process contract.
+    Each cell's fate is the reconciliation detector's verdict
+    (:meth:`~repro.distrib.reconcile.Detector.diff`, which reads every
+    run-log in the directory, reconcile's included), taken in submission
+    order: an ``ok`` cell merges its cached result — the cache, not the
+    log, is the merge point, so a cell whose log records were lost still
+    merges (``unlogged``) — a ``quarantined`` cell merges as a
+    :class:`FailedResult`, as ``run_many`` returns it, and every other
+    cell is a gap for reconciliation.  The merge only reads: the cache
+    and the logs are left as they were.
 
     With ``write`` (default), the ordered stream lands atomically in
     ``merged.json`` so downstream consumers never see a torn merge.
     """
+    from .reconcile import Detector  # reconcile imports this module
+
     root = Path(campaign_dir)
-    cells = spec.cells()
-    runner = make_runner(spec, cache_dir=cache_dir)
-    key_of: Dict[str, int] = {}
-    for seq, cell in enumerate(cells):
-        workload, config, seed = cell.task(spec.seed)
-        key_of[runner.key_for(workload, config, seed)] = seq
-
-    merged = MergedCampaign(spec=spec)
-    finished: Dict[int, str] = {}
-    quarantined: Dict[int, Dict] = {}
-    # every run-log in the directory: shard logs plus reconcile.jsonl,
-    # so cells healed by a repair round merge via their finish records
-    for log_path in sorted(root.glob("*.jsonl")):
-        try:
-            shard_index = int(log_path.stem.split("-")[1])
-        except (IndexError, ValueError):
-            shard_index = -1  # non-shard log (reconciliation repairs)
-        records, skipped = read_run_log_tolerant(str(log_path))
-        merged.skipped_lines += skipped
-        merged.shard_records[shard_index] = len(records)
-        for record in records:
-            key = record.get("key")
-            seq = key_of.get(key) if isinstance(key, str) else None
-            if seq is None:
-                continue
-            event = record.get("event")
-            if event in _FINISH_EVENTS:
-                finished[seq] = key
-                quarantined.pop(seq, None)
-            elif event == "quarantine":
-                quarantined[seq] = record
-
-    # the cache, not the log, is the merge point: a cell whose lifecycle
-    # records were lost to log damage but whose healthy entry survived
-    # still merges (the detector agrees — it calls such cells ``ok``)
-    key_by_seq = {seq: key for key, seq in key_of.items()}
-    for seq in range(len(cells)):
-        if seq in finished or seq in quarantined:
-            continue
-        key = key_by_seq[seq]
-        if runner._fetch_cached(key) is not None:
-            finished[seq] = key
-            merged.unlogged.append(seq)
-
-    resequencer = Resequencer(len(cells))
-    for seq in sorted(set(finished) | set(quarantined)):
-        cell = cells[seq]
-        if seq in finished:
-            result = runner._fetch_cached(finished[seq])
-            if result is None:
-                # the log promised a result the cache no longer holds
-                # (orphaned) — leave the gap for reconciliation
-                merged.unreadable.append(seq)
-                continue
-        else:
-            record = quarantined[seq]
-            workload, config, task_seed = cell.task(spec.seed)
+    diff = Detector(spec, cache_dir=cache_dir).diff(root)
+    merged = MergedCampaign(spec=spec, skipped_lines=diff.skipped_lines)
+    for status in diff.statuses:
+        if status.state == "ok":
+            result = status.result
+            if status.record is None:
+                merged.unlogged.append(status.seq)
+        elif status.state == "quarantined":
+            workload, config, seed = status.cell.task(spec.seed)
+            record = status.record
             result = FailedResult(
-                workload=workload, config_name=config.name, seed=task_seed,
+                workload=workload, config_name=config.name, seed=seed,
                 kind=str(record.get("kind", "error")),
                 error=str(record.get("error", "")),
                 attempts=int(record.get("attempts", 1)),
             )
-        for _, envelope in resequencer.push(
-                seq, result_envelope(seq, cell, result)):
-            merged.envelopes.append(envelope)
-    merged.gaps = resequencer.missing(high_water=len(cells))
+        else:
+            merged.gaps.append(status.seq)
+            continue
+        if not merged.gaps:
+            merged.envelopes.append(
+                result_envelope(status.seq, status.cell, result))
     if write:
         root.mkdir(parents=True, exist_ok=True)
         path = root / MERGED_NAME
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps({
             "complete": merged.complete,
-            "cells": len(cells),
+            "cells": len(diff.statuses),
             "gaps": merged.gaps,
             "skipped_lines": merged.skipped_lines,
             "results": merged.envelopes,

@@ -4,10 +4,13 @@ Three stages, mirroring the classic detector / engine / scheduler
 split:
 
 * the **detector** three-way-diffs the *expected matrix* (from the
-  campaign manifest) against the *disk cache* (read-only probes — the
-  detector never mutates what it audits) and the *merged run-logs*
-  (read tolerantly, because chaos and dying shards tear them),
-  classifying every cell into one of :data:`CELL_STATES`;
+  campaign manifest) against the *disk cache* (through the runner's
+  read-only :meth:`~repro.analysis.runner.ExperimentRunner.read_entry`
+  — the detector never mutates what it audits) and the *merged
+  run-logs* (read tolerantly, because chaos and dying shards tear
+  them), classifying every cell into one of :data:`CELL_STATES`.  The
+  campaign merge (:func:`~repro.distrib.campaign.merge_shards`) reads
+  the same verdicts;
 * the **engine** turns the diff into a typed repair plan — which cache
   entries to purge, which cells to re-run — under a bounded per-cell
   retry budget, so a cell that keeps failing cannot spin the loop
@@ -30,17 +33,17 @@ Cell-state taxonomy
                 exhausted retries) and no healthy result superseded it
 ``orphaned``    the run-logs say the cell *finished*, but the cache has
                 no usable entry — the result vanished after the fact
-``corrupt``     a cache entry exists but is unreadable: invalid JSON,
-                binary garbage, zero-byte, or a payload whose identity
-                does not match the cell (misfiled)
-``stale-schema`` a cache entry parses but was written by an older
-                result schema — it must not be served as current
+``corrupt``     a cache entry exists but is unusable: unreadable,
+                binary garbage, zero-byte, invalid JSON, not an object,
+                undeserialisable, or a payload whose identity does not
+                match the cell (misfiled)
+``stale-schema`` a cache entry parses but lacks result fields — written
+                by an older result layout, it must not be served
 ==============  ==========================================================
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -48,6 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.runner import ExperimentRunner
+from ..core.stats import SimResult
 from ..serve.protocol import Cell
 from ..telemetry.runlog import RunLog, read_run_log_tolerant
 from ..telemetry.spans import SpanRecorder, derive_span_id
@@ -61,13 +65,8 @@ CELL_STATES = ("ok", "missing", "quarantined", "orphaned", "corrupt",
 DAMAGED_STATES = ("missing", "quarantined", "orphaned", "corrupt",
                   "stale-schema")
 
-#: Top-level fields a schema-current result payload must carry
-#: (``SimResult.to_dict``'s keys; ``from_dict`` is deliberately lenient
-#: for in-process use, so the detector checks strictly on its own).
-REQUIRED_RESULT_FIELDS = (
-    "workload", "config_name", "stats", "memory_stats", "frequency_ghz",
-    "interval_samples", "sample_interval", "sampled", "sampling",
-)
+#: Run-log events that account for a cell: the last one a cell has wins.
+_ACCOUNT_EVENTS = ("finish", "cache_hit", "quarantine")
 
 #: Default per-cell repair attempts before the engine gives up on it.
 DEFAULT_CELL_BUDGET = 2
@@ -85,6 +84,12 @@ class CellStatus:
     key: str
     state: str
     detail: str = ""
+    #: the cached result of an ``ok`` cell
+    result: Optional[SimResult] = field(default=None, repr=False)
+    #: the run-log record that accounts for the cell (its last
+    #: ``finish``, ``cache_hit`` or ``quarantine``); None when no log
+    #: mentions it
+    record: Optional[Dict] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict:
         return {"seq": self.seq, "cell": self.cell.to_dict(),
@@ -128,8 +133,9 @@ class Detector:
     def __init__(self, spec: CampaignSpec,
                  cache_dir: Optional[str] = None):
         self.spec = spec
-        # probe runner: key derivation + cache location only, never runs
-        self._runner = make_runner(spec, cache_dir=cache_dir)
+        # probe runner: keys and cache reads only, never runs, records
+        # no spans (a $REPRO_SPANS file would be opened and never closed)
+        self._runner = make_runner(spec, cache_dir=cache_dir, spans="")
 
     # ------------------------------------------------------------------
     def expected(self) -> List[Tuple[int, Cell, str]]:
@@ -141,107 +147,57 @@ class Detector:
                                                         seed)))
         return out
 
-    def probe_entry(self, key: str,
-                    cell: Optional[Cell] = None) -> Tuple[str, str]:
-        """Classify one cache entry without mutating it.
-
-        Returns ``(kind, detail)`` with ``kind`` one of ``absent`` /
-        ``ok`` / ``corrupt`` / ``stale-schema``.  Unlike the runner's
-        ``_load_disk`` (which deletes corrupt entries so they re-run
-        exactly once), the probe is strictly read-only: deletion is a
-        *repair*, and repairs belong to the engine's plan.
-        """
-        path = self._runner.cache_path(key)
-        if path is None:
-            return "absent", "cache disabled"
-        if not path.exists():
-            return "absent", ""
-        try:
-            text = path.read_text()
-        except UnicodeDecodeError:
-            return "corrupt", "binary-garbage"
-        except OSError:
-            return "corrupt", "unreadable"
-        if not text.strip():
-            return "corrupt", "zero-byte"
-        try:
-            data = json.loads(text)
-        except ValueError:
-            return "corrupt", "invalid-json"
-        if not isinstance(data, dict):
-            return "corrupt", "not-an-object"
-        missing = [name for name in REQUIRED_RESULT_FIELDS
-                   if name not in data]
-        if missing:
-            return "stale-schema", f"missing fields: {', '.join(missing)}"
-        if cell is not None and data.get("workload") != cell.workload:
-            return ("corrupt",
-                    f"misfiled: payload claims workload "
-                    f"{data.get('workload')!r}")
-        try:
-            from ..core.stats import SimResult
-
-            SimResult.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            return "corrupt", f"undeserialisable: {exc}"
-        return "ok", ""
-
     def read_logs(
         self, campaign_dir: Union[str, Path],
-    ) -> Tuple[Dict[str, str], Dict[str, Dict], int]:
+    ) -> Tuple[Dict[str, Dict], int]:
         """Fold every run-log in the campaign directory.
 
-        Returns ``(finished, quarantined, skipped_lines)`` keyed by
-        cell key.  A ``finish``/``cache_hit`` after a ``quarantine``
-        supersedes it (a repair round healed the cell); the reverse
-        order never un-finishes a cell — the cache entry is the
-        arbiter of whether the result survived.
+        Returns ``(accounts, skipped_lines)``: each cell key's last
+        ``finish``, ``cache_hit`` or ``quarantine`` record, in file-name
+        then line order.  So a ``finish`` after a ``quarantine``
+        supersedes it (a repair round healed the cell), and a later
+        ``quarantine`` marks a finished cell failed again; the cache
+        entry, when healthy, outranks both.
         """
-        finished: Dict[str, str] = {}
-        quarantined: Dict[str, Dict] = {}
+        accounts: Dict[str, Dict] = {}
         skipped = 0
         for log_path in sorted(Path(campaign_dir).glob("*.jsonl")):
             records, bad = read_run_log_tolerant(str(log_path))
             skipped += bad
             for record in records:
                 key = record.get("key")
-                if not isinstance(key, str):
-                    continue
-                event = record.get("event")
-                if event in ("finish", "cache_hit"):
-                    finished[key] = str(event)
-                    quarantined.pop(key, None)
-                elif event == "quarantine":
-                    quarantined[key] = record
-        return finished, quarantined, skipped
+                if (isinstance(key, str)
+                        and record.get("event") in _ACCOUNT_EVENTS):
+                    accounts[key] = record
+        return accounts, skipped
 
     # ------------------------------------------------------------------
     def diff(self, campaign_dir: Union[str, Path]) -> CampaignDiff:
         """Classify every cell of the matrix (see the module taxonomy)."""
-        finished, quarantined, skipped = self.read_logs(campaign_dir)
+        accounts, skipped = self.read_logs(campaign_dir)
         statuses: List[CellStatus] = []
         for seq, cell, key in self.expected():
-            kind, detail = self.probe_entry(key, cell)
-            if kind == "ok":
-                state = "ok"
-            elif kind in ("corrupt", "stale-schema"):
-                state = kind
-            elif key in quarantined:
-                record = quarantined[key]
-                state = "quarantined"
-                detail = (f"{record.get('kind', 'error')} after "
-                          f"{record.get('attempts', '?')} attempt(s): "
-                          f"{record.get('error', '')}")
-            elif key in finished:
-                state = "orphaned"
-                detail = (f"run-log records {finished[key]} but the cache "
-                          f"entry is gone")
-            else:
-                state = "missing"
-                detail = "no cache entry, no run-log account"
+            state, detail, result = self._runner.read_entry(key,
+                                                            cell.workload)
+            record = accounts.get(key)
+            if state == "absent":
+                state, detail = _account_verdict(record)
             statuses.append(CellStatus(seq=seq, cell=cell, key=key,
-                                       state=state, detail=detail))
+                                       state=state, detail=detail,
+                                       result=result, record=record))
         return CampaignDiff(statuses=statuses, skipped_lines=skipped)
+
+
+def _account_verdict(record: Optional[Dict]) -> Tuple[str, str]:
+    """State and detail of a cell without a cache entry, from its log."""
+    if record is None:
+        return "missing", "no cache entry, no run-log account"
+    if record["event"] == "quarantine":
+        return "quarantined", (f"{record.get('kind', 'error')} after "
+                               f"{record.get('attempts', '?')} attempt(s): "
+                               f"{record.get('error', '')}")
+    return "orphaned", (f"run-log records {record['event']} but the cache "
+                        f"entry is gone")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Optional
 
 LINE_SIZE = 64
+
+#: What a set that was never filled holds: no lines, and no way to add one.
+_NO_LINES = MappingProxyType({})
 
 
 @dataclass
@@ -53,23 +57,21 @@ class Cache:
         self.num_sets = max(1, size_bytes // (LINE_SIZE * assoc))
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: set count must be a power of two")
-        # per set: OrderedDict line_tag -> fill_time, LRU order (oldest first)
-        self._sets: Tuple[OrderedDict, ...] = tuple(
-            OrderedDict() for _ in range(self.num_sets)
-        )
+        self._mask = self.num_sets - 1
+        # set index -> OrderedDict line_tag -> fill_time, LRU order (oldest
+        # first); a set exists from its first fill, so an absent one is
+        # empty
+        self._sets: Dict[int, OrderedDict] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def _set_for(self, line: int) -> OrderedDict:
-        return self._sets[line & (self.num_sets - 1)]
-
     def probe(self, line: int) -> Optional[int]:
         """Return the line's fill time if resident (without LRU update)."""
-        return self._set_for(line).get(line)
+        return self._sets.get(line & self._mask, _NO_LINES).get(line)
 
     def lookup(self, line: int) -> Optional[int]:
         """LRU-updating lookup: fill time if the line is resident, else None."""
-        entries = self._set_for(line)
+        entries = self._sets.get(line & self._mask, _NO_LINES)
         fill_time = entries.get(line)
         if fill_time is None:
             self.stats.misses += 1
@@ -80,7 +82,10 @@ class Cache:
 
     def fill(self, line: int, fill_time: int, prefetch: bool = False) -> Optional[int]:
         """Insert ``line`` (available at ``fill_time``); return evicted line."""
-        entries = self._set_for(line)
+        index = line & self._mask
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = OrderedDict()
         evicted = None
         if line in entries:
             # keep the earlier availability if the line is already in flight
@@ -96,7 +101,9 @@ class Cache:
         return evicted
 
     def invalidate(self, line: int) -> None:
-        self._set_for(line).pop(line, None)
+        entries = self._sets.get(line & self._mask)
+        if entries is not None:
+            entries.pop(line, None)
 
     def settle(self, cycle: int) -> None:
         """Complete every in-flight fill: clamp fill times to ``cycle``.
@@ -107,11 +114,11 @@ class Cache:
         fast-forward stretch compresses into an unrealistically short
         clock span.
         """
-        for entries in filter(None, self._sets):  # resident sets only
+        for entries in self._sets.values():
             for line, fill_time in entries.items():
                 if fill_time > cycle:
                     entries[line] = cycle
 
     def resident_lines(self) -> int:
         """Total lines currently resident (for occupancy tests)."""
-        return sum(len(entries) for entries in self._sets)
+        return sum(map(len, self._sets.values()))

@@ -113,7 +113,7 @@ class StallAttribution:
         if not head.issued:
             if pipe.op_ready(head, pipe.cycle):
                 return "port_conflict"
-            if not pipe.mdp_dep_satisfied(head):
+            if head.mdp_waiting:
                 return "memory"  # held behind a predicted store dependence
             # operand wait: charge memory when the head sits in a load
             # shadow (its dispatch-time class marked it load-dependent)

@@ -38,8 +38,9 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
                   "elapsed_s", "sims_per_sec", "eta_s"),
     "campaign_end": ("seconds", "simulations", "cache_hits", "retries",
                      "timeouts", "quarantined"),
-    # cache health: a corrupt / unreadable / zero-byte disk-cache entry
-    # was tolerated (treated as a miss) — see ExperimentRunner._load_disk
+    # cache health: a corrupt / unreadable / stale disk-cache entry was
+    # tolerated (treated as a miss); ``reason`` is the detail
+    # ExperimentRunner.read_entry gave it
     "cache_warning": ("reason", "count"),
     # job-queue / serving lifecycle (repro.serve; see docs/serving.md).
     # The durable queue journal reuses this writer, so replay after a

@@ -341,7 +341,8 @@ def run_campaign(
         )
         baseline_results = baseline.run_many(tasks, jobs=1)
         expected = {
-            baseline._key(w, c, seed): json.dumps(r.to_dict(), sort_keys=True)
+            baseline.key_for(w, c, seed):
+                json.dumps(r.to_dict(), sort_keys=True)
             for (w, c), r in zip(tasks, baseline_results)
         }
 
@@ -368,7 +369,7 @@ def run_campaign(
         os.environ.pop(ENV_VAR, None)
 
         # ---------------- verdict ----------------
-        keys = [runner._key(w, c, seed) for w, c in tasks]
+        keys = [runner.key_for(w, c, seed) for w, c in tasks]
         fault_of = {key: spec.fault_for(key, 0) for key in keys}
         expected_faults: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         for fault in fault_of.values():
@@ -557,7 +558,7 @@ def run_distributed(
         tasks = [cell.task(seed) for cell in cells]
         baseline_results = baseline.run_many(tasks, jobs=1)
         expected = {
-            baseline._key(w, c, s): json.dumps(r.to_dict(), sort_keys=True)
+            baseline.key_for(w, c, s): json.dumps(r.to_dict(), sort_keys=True)
             for (w, c, s), r in zip(tasks, baseline_results)
         }
 
@@ -596,14 +597,8 @@ def run_distributed(
         if logs:
             shredded = shred_log(logs[0])
 
-        # 4. the merge must name the holes
-        merged = merge_shards(spec, camp, cache_dir=str(cache), write=True)
-        say(f"distrib chaos: merged — complete={merged.complete}, "
-            f"gaps={len(merged.gaps)}, skipped_lines={merged.skipped_lines}")
-
-        # 3b. cache damage lands *after* the merge (whose cache reads,
-        # like the runner's, delete corrupt entries on contact) so the
-        # detector — strictly read-only — is what classifies it
+        # 3b. damage two healthy cache entries; the merge below only
+        # reads, so both are still there for the detector to classify
         healthy = [
             (seq, cell, key) for seq, cell, key in expected_cells
             if key not in killed_keys and key not in poisoned_keys
@@ -619,8 +614,13 @@ def run_distributed(
             payload = json.loads(path.read_text())
             for name in ("sampling", "memory_stats", "interval_samples"):
                 payload.pop(name, None)
-            path.write_text(json.dumps(payload))  # pre-schema-v4 shape
+            path.write_text(json.dumps(payload))  # an older layout
             stale_keys.add(victim)
+
+        # 4. the merge must name the holes
+        merged = merge_shards(spec, camp, cache_dir=str(cache), write=True)
+        say(f"distrib chaos: merged — complete={merged.complete}, "
+            f"gaps={len(merged.gaps)}, skipped_lines={merged.skipped_lines}")
 
         # 5. detect + repair to byte-identical convergence
         diff = detector.diff(camp)
@@ -665,7 +665,7 @@ def run_distributed(
                 continue
             seq = envelope["seq"]
             workload, config, cell_seed = cells[seq].task(seed)
-            key = baseline._key(workload, config, cell_seed)
+            key = baseline.key_for(workload, config, cell_seed)
             got = json.dumps(envelope["result"], sort_keys=True)
             if got != expected[key]:
                 report.mismatches.append(

@@ -32,7 +32,7 @@ def _tasks(*arches):
 
 def _spec_hitting(runner, tasks, fault, index, **spec_kw):
     """A spec whose ``fault`` hits exactly ``tasks[index]`` on attempt 0."""
-    keys = [runner._key(w, c, runner.seed) for w, c in tasks]
+    keys = [runner.key_for(w, c) for w, c in tasks]
     for salt in range(5_000):
         spec = ChaosSpec(salt=salt, **spec_kw)
         got = [spec.fault_for(key, 0) for key in keys]

@@ -439,6 +439,27 @@ class TestCampaignReconcile:
         assert cli("reconcile", "--campaign-dir", camp,
                    "--cache-dir", cache, "--check") == 1
 
+    def test_shards_run_by_other_code_check_as_missing(self, cli, capsys,
+                                                       dirs, monkeypatch):
+        """Results keyed under another model digest are not this code's:
+        the detector expects its own keys, finds neither an entry nor a
+        log account for them, and calls every cell missing."""
+        import repro.analysis.runner as runner_mod
+
+        camp, cache = dirs
+        real_digest = runner_mod.model_digest()
+        monkeypatch.setattr(runner_mod, "model_digest", lambda: "older")
+        assert cli(*self._shard_args(camp, cache, 0)) == 0
+        assert cli(*self._shard_args(camp, cache, 1)) == 0
+        assert cli("reconcile", "--campaign-dir", camp,
+                   "--cache-dir", cache, "--check") == 0
+        monkeypatch.setattr(runner_mod, "model_digest", lambda: real_digest)
+        capsys.readouterr()
+        assert cli("reconcile", "--campaign-dir", camp,
+                   "--cache-dir", cache, "--check") == 1
+        out = capsys.readouterr().out
+        assert "reconcile diff DAMAGED: 4 cells [missing=4]" in out
+
     def test_reconcile_writes_machine_readable_report(self, cli, tmp_path,
                                                       dirs):
         import json

@@ -143,6 +143,47 @@ class TestMerge:
         assert merged.skipped_lines == len(lines)
         assert merged.unlogged  # recovered via direct cache probe
 
+    def test_stale_quarantine_record_under_healthy_entry_merges_ok(
+            self, tmp_path):
+        """A healthy entry outranks a leftover quarantine record, in the
+        merge as in the detector: here a shard quarantined the cell, and
+        a run that logs elsewhere (a served repair, another campaign on
+        the same cache) later cached every cell."""
+        camp, cache = paths(tmp_path)
+        spec = make_spec()
+        spec.save(camp)
+        detector = Detector(spec, cache_dir=cache)
+        seq, _, key = detector.expected()[1]
+        with RunLog(str(camp / "shard-0-of-2.jsonl")) as log:
+            log.log("quarantine", key=key, kind="poison",
+                    error="stale record from an earlier life", attempts=3)
+        ExperimentRunner(target_ops=spec.ops, seed=spec.seed,
+                         cache_dir=cache).run_many(
+            [cell.task(spec.seed) for cell in spec.cells()])
+        assert detector.diff(camp).converged
+        merged = merge_shards(spec, camp, cache_dir=cache)
+        assert merged.complete
+        assert all(envelope["ok"] for envelope in merged.envelopes)
+        assert seq not in merged.unlogged  # its quarantine record logs it
+
+    def test_corrupt_entry_survives_the_merge_as_a_gap(self, tmp_path):
+        """The merge only reads: a corrupt entry is a gap it leaves in
+        place, for the detector to report and reconcile to repair."""
+        camp, cache = paths(tmp_path)
+        spec = make_spec()
+        run_all_shards(spec, camp, cache)
+        detector = Detector(spec, cache_dir=cache)
+        seq, _, key = detector.expected()[1]
+        path = detector._runner.cache_path(key)
+        path.write_text("{broken")
+        merged = merge_shards(spec, camp, cache_dir=cache)
+        assert not merged.complete
+        assert merged.gaps == [seq]
+        assert len(merged.envelopes) == seq  # the prefix before the gap
+        assert path.read_text() == "{broken"
+        (status,) = detector.diff(camp).damaged
+        assert (status.seq, status.state) == (seq, "corrupt")
+
     def test_invalid_shard_index_rejected(self, tmp_path):
         camp, cache = paths(tmp_path)
         spec = make_spec()
@@ -247,6 +288,18 @@ class TestDetector:
                     error="stale record from an earlier life", attempts=3)
         diff = detector.diff(camp)
         assert diff.converged  # healthy cache entry is the arbiter
+
+    def test_probe_opens_no_span_file(self, tmp_path, monkeypatch):
+        """The detector (and the merge through it) never runs a cell, so
+        it records no spans even when $REPRO_SPANS names a file."""
+        spans = tmp_path / "spans.jsonl"
+        monkeypatch.setenv("REPRO_SPANS", str(spans))
+        camp, cache = paths(tmp_path)
+        spec = make_spec()
+        spec.save(camp)
+        assert Detector(spec, cache_dir=cache)._runner.spans is None
+        merge_shards(spec, camp, cache_dir=cache)
+        assert not spans.exists()
 
     def test_probe_is_read_only(self, tmp_path):
         """Unlike the runner, the detector must not delete bad entries."""

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import config_for
 from repro.core.pipeline import Pipeline
-from repro.core.stats import RESULT_SCHEMA_VERSION, SimResult
+from repro.core.stats import SimResult
 from repro.telemetry import (
     CounterMetric,
     GaugeMetric,
@@ -292,11 +292,25 @@ class TestSamplerEndToEnd:
         assert clone.interval_samples == result.interval_samples
         assert clone.sample_interval == result.sample_interval
 
-    def test_schema_version_bumped_for_samples(self):
-        # SimResult grew interval_samples/sample_interval in v3 and
-        # sampled/sampling in v4; the version is mixed into cache keys,
-        # so old entries self-expire
-        assert RESULT_SCHEMA_VERSION == 4
+    def test_sampler_source_is_in_the_model_digest(self, tmp_path,
+                                                   monkeypatch):
+        # the sampler builds every sampled result's interval_samples, so
+        # an edit to it must retire the cached results it filled: the
+        # model digest, part of every cache key, covers its source
+        import shutil
+
+        import repro.analysis.runner as runner_mod
+
+        copy = tmp_path / "repro"
+        shutil.copytree(runner_mod._MODEL_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(runner_mod, "_MODEL_ROOT", copy)
+        before = runner_mod.model_digest.__wrapped__()
+        sampler_source = copy / "telemetry" / "metrics.py"
+        assert "class IntervalSampler" in sampler_source.read_text()
+        with sampler_source.open("a") as handle:
+            handle.write("\n# an edit\n")
+        assert runner_mod.model_digest.__wrapped__() != before
 
 
 # ---------------------------------------------------------------------------

@@ -183,40 +183,36 @@ def test_keyboard_interrupt_keeps_partial_results(tmp_path, monkeypatch):
     assert resumed.simulations_run == len(tasks) - 1
 
 
-def test_mixed_schema_cache_entries_invalidate_cleanly(tmp_path,
-                                                       monkeypatch):
-    """Entries keyed under an older RESULT_SCHEMA_VERSION are simply
-    never looked up again (the version is part of the key): a v4 runner
-    re-simulates instead of deserialising a stale shape, and both
-    generations coexist in the same cache directory."""
+def test_entries_from_other_code_invalidate_cleanly(tmp_path, monkeypatch):
+    """Entries written by other code are simply never looked up again
+    (the model digest is part of the key): the runner re-simulates
+    instead of deserialising a stale shape, and both generations
+    coexist in the same cache directory."""
     import repro.analysis.runner as runner_mod
-    from repro.core.stats import RESULT_SCHEMA_VERSION, SimResult
 
-    assert RESULT_SCHEMA_VERSION == 4
     config = config_for("ooo")
+    real_digest = runner_mod.model_digest()
 
-    # an "old writer": same cache dir, keys computed under schema v3
-    monkeypatch.setattr(runner_mod, "RESULT_SCHEMA_VERSION", 3)
+    # an "old writer": same cache dir, keys computed under other code
+    monkeypatch.setattr(runner_mod, "model_digest", lambda: "older code")
     old = _runner(tmp_path, "mixed")
     old_result = old.run("histogram", config)
     assert old.simulations_run == 1
-    # strip the v4-era fields so the entry really has the old shape
+    # strip fields so the entry really has an older shape
     entry = next(old.cache_dir.glob("*.json"))
     data = json.loads(entry.read_text())
     data.pop("sampled")
     data.pop("sampling")
     entry.write_text(json.dumps(data))
 
-    monkeypatch.setattr(runner_mod, "RESULT_SCHEMA_VERSION", 4)
+    monkeypatch.setattr(runner_mod, "model_digest", lambda: real_digest)
     fresh = _runner(tmp_path, "mixed")
     new_result = fresh.run("histogram", config)
-    assert fresh.cache_hits == 0  # stale entry never looked up
+    assert fresh.cache_hits == 0 and fresh.cache_warnings == 0
     assert fresh.simulations_run == 1
     assert len(list(fresh.cache_dir.glob("*.json"))) == 2
     assert _dumps(new_result) == _dumps(old_result)
-    # old-shape entries still deserialize via defaults if read directly
-    clone = SimResult.from_dict(data)
-    assert clone.sampled is False and clone.sampling == {}
+    assert entry.exists()  # never read, so never judged
 
 
 def test_pool_persists_across_batches_until_close(tmp_path):

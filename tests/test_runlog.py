@@ -204,7 +204,7 @@ class TestCacheWarningEvents:
         """Warm the cache, rewrite the entry to ``text``, re-read cold."""
         warm = _runner(tmp_path, "cachewarn")
         warm.run("dotprod", config_for("ooo"))
-        key = warm._key("dotprod", config_for("ooo"), warm.seed)
+        key = warm.key_for("dotprod", config_for("ooo"))
         (tmp_path / "cachewarn" / f"{key}.json").write_text(text)
         cold = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "cachewarn"),
@@ -216,7 +216,7 @@ class TestCacheWarningEvents:
         cold = self._corrupt_run(tmp_path, '{"torn": ')
         events = _events(cold, "cache_warning")
         assert len(events) == 1
-        assert events[0]["reason"] == "corrupt"
+        assert events[0]["reason"] == "invalid-json"
         assert events[0]["count"] == 1 == cold.cache_warnings
 
     def test_zero_byte_entry_emits_its_own_reason(self, tmp_path):

@@ -185,15 +185,15 @@ class TestExporters:
         assert staged <= declared
 
 
-class TestCacheSchemaVersion:
-    def test_key_changes_with_schema_version(self, tmp_path, monkeypatch):
+class TestCacheKey:
+    def test_key_changes_with_model_digest(self, tmp_path, monkeypatch):
         runner = ExperimentRunner(target_ops=500, cache_dir=str(tmp_path))
         config = config_for("ooo")
-        key_before = runner._key("dotprod", config, seed=7)
+        key_before = runner.key_for("dotprod", config, seed=7)
         import repro.analysis.runner as runner_mod
 
-        monkeypatch.setattr(runner_mod, "RESULT_SCHEMA_VERSION", 999)
-        key_after = runner._key("dotprod", config, seed=7)
+        monkeypatch.setattr(runner_mod, "model_digest", lambda: "other")
+        key_after = runner.key_for("dotprod", config, seed=7)
         assert key_before != key_after
 
     def test_disk_cache_round_trips_stall_cycles(self, tmp_path):
