@@ -56,13 +56,13 @@ from pathlib import Path
 from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..core.config import CoreConfig, config_for
+from ..core.config import CoreConfig
 from ..core.pipeline import SimulationDeadlock, simulate
 from ..core.stats import SimResult
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.runlog import RunLog
 from ..telemetry.spans import SpanContext, SpanRecorder, derive_span_id
-from ..workloads.suite import SUITE_NAMES, get_trace
+from ..workloads.suite import get_trace
 
 #: Micro-ops per workload trace and workload-data seed of EXPERIMENTS.md.
 DEFAULT_OPS = 10_000
@@ -154,6 +154,19 @@ class FailedResult:
             "attempts": self.attempts,
             "snapshot": self.snapshot,
         }
+
+
+def cache_root(cache_dir: Optional[str] = None) -> Optional[Path]:
+    """The result-cache directory ``cache_dir`` names (None: disabled).
+
+    ``None`` reads ``$REPRO_BENCH_CACHE`` and falls back to the
+    repo-local ``.bench_cache``; "" disables the disk cache."""
+    if cache_dir is None:
+        cache_dir = os.environ.get(
+            "REPRO_BENCH_CACHE",
+            str(Path(__file__).resolve().parents[3] / ".bench_cache"),
+        )
+    return Path(cache_dir) if cache_dir else None
 
 
 def _atomic_write_json(path: Path, payload: Dict) -> None:
@@ -323,12 +336,7 @@ class ExperimentRunner:
         self.jobs = max(1, jobs or 1)
         self.task_timeout = task_timeout or None
         self.retries = 2 if retries is None else max(0, retries)
-        if cache_dir is None:
-            cache_dir = os.environ.get(
-                "REPRO_BENCH_CACHE",
-                str(Path(__file__).resolve().parents[3] / ".bench_cache"),
-            )
-        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.cache_dir = cache_root(cache_dir)
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._memory: Dict[str, SimResult] = {}
@@ -450,8 +458,11 @@ class ExperimentRunner:
                 "workload": workload,
                 "ops": self.target_ops,
                 "seed": self.seed if seed is None else seed,
-                "config": dataclasses.asdict(config),
+                "config": config,
             },
+            # each nested dataclass serialises as its fields: the text of
+            # dataclasses.asdict(config) without its deep copy
+            default=vars,
             sort_keys=True,
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
@@ -543,31 +554,13 @@ class ExperimentRunner:
         return result
 
     def run(self, workload: str, config: CoreConfig,
-            seed: Optional[int] = None) -> SimResult:
-        """Run (or fetch) one simulation.
+            seed: Optional[int] = None) -> Union[SimResult, FailedResult]:
+        """Run (or fetch) one simulation: a one-cell :meth:`run_many`.
 
         ``seed`` overrides the runner's workload-data seed for seed-
         sensitivity studies; the cache distinguishes seeds.
         """
-        seed = self.seed if seed is None else seed
-        key = self.key_for(workload, config, seed)
-        result = self._fetch_cached(key, workload)
-        if result is not None:
-            self._log("cache_hit", key=key, workload=workload,
-                      config=config.name, seed=seed,
-                      **self._cell_trace(key))
-            return result
-        self._log("start", key=key, workload=workload, config=config.name,
-                  seed=seed, attempt=0, **self._cell_trace(key))
-        started = time.perf_counter()
-        trace = get_trace(workload, self.target_ops, seed)
-        result = simulate(trace, config)
-        self._finish(key, result)
-        self._log("finish", key=key, workload=workload, config=config.name,
-                  seed=seed, attempt=0,
-                  seconds=round(time.perf_counter() - started, 6),
-                  worker=os.getpid(), **self._cell_trace(key))
-        return result
+        return self.run_many([(workload, config, seed)])[0]
 
     # ------------------------------------------------------------------
     # failure bookkeeping
@@ -617,8 +610,6 @@ class ExperimentRunner:
     # parallel execution
     # ------------------------------------------------------------------
     def run_many(self, tasks: Sequence[Task], jobs: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
                  trace: Optional[SpanContext] = None,
                  ) -> List[Union[SimResult, FailedResult]]:
         """Run (or fetch) a batch of simulations, results in task order.
@@ -631,21 +622,21 @@ class ExperimentRunner:
         cache in exactly the state a serial run would, and results are
         byte-identical to serial execution.
 
-        A cell whose worker crashes, hangs past ``timeout`` or raises is
-        retried up to ``retries`` times (deterministic failures —
-        deadlocks — are not retried) and then **quarantined**: its slot
-        in the returned list holds a :class:`FailedResult` and later
-        batches serve the same record without re-running it.  Callers
-        that need every cell healthy should check ``result.ok`` or
-        :attr:`failures`.  ``KeyboardInterrupt`` aborts the batch but
-        every already-finished cell stays merged in the cache.
+        A cell whose worker crashes, hangs past the runner's
+        ``task_timeout`` or raises is retried up to ``retries`` times
+        (deterministic failures — deadlocks — are not retried) and then
+        **quarantined**: its slot in the returned list holds a
+        :class:`FailedResult` and later batches serve the same record
+        without re-running it.  Callers that need every cell healthy
+        should check ``result.ok`` or :attr:`failures`.
+        ``KeyboardInterrupt`` aborts the batch but every already-finished
+        cell stays merged in the cache.
 
-        ``jobs`` / ``timeout`` / ``retries`` default to the runner's
-        constructor values.  ``trace`` names the parent
-        span context for this batch (overriding the runner-level
-        ``trace_ctx``): with a recorder attached, cell spans parent
-        directly under it; with neither, a traced batch opens its own
-        ``campaign`` root span.
+        ``jobs`` defaults to the runner's constructor value.  ``trace``
+        names the parent span context for this batch (overriding the
+        runner-level ``trace_ctx``): with a recorder attached, cell spans
+        parent directly under it; with neither, a traced batch opens its
+        own ``campaign`` root span.
         """
         norm: List[Tuple[str, CoreConfig, int]] = []
         for task in tasks:
@@ -654,8 +645,6 @@ class ExperimentRunner:
             norm.append((workload, config, seed))
         keys = [self.key_for(w, c, s) for w, c, s in norm]
         jobs = self.jobs if jobs is None else max(1, jobs)
-        timeout = self.task_timeout if timeout is None else (timeout or None)
-        retries = self.retries if retries is None else max(0, retries)
 
         recorder = self.spans
         previous_parent = self._trace_parent
@@ -705,9 +694,9 @@ class ExperimentRunner:
             self._campaign_t0 = campaign_started
             sims_before, hits_before = self.simulations_run, self.cache_hits
             if parallel:
-                self._run_parallel(pending, jobs, timeout, retries)
+                self._run_parallel(pending, jobs)
             elif pending:
-                self._run_serial(pending, retries)
+                self._run_serial(pending)
             self._log("campaign_end",
                       seconds=round(time.perf_counter() - campaign_started,
                                     6),
@@ -766,8 +755,8 @@ class ExperimentRunner:
             self.spans.record(name, parent=cell, start_t=step_start,
                               end_t=step_end)
 
-    def _run_serial(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                    retries: int) -> None:
+    def _run_serial(
+            self, pending: Dict[str, Tuple[str, CoreConfig, int]]) -> None:
         """In-process fallback with the same retry/quarantine semantics.
 
         Each cell runs on its own — :func:`_simulate_cell` →
@@ -805,7 +794,7 @@ class ExperimentRunner:
                 except Exception as exc:
                     kind, error, snapshot = self._classify_failure(exc)
                     attempt += 1
-                    if kind != "deadlock" and attempt <= retries:
+                    if kind != "deadlock" and attempt <= self.retries:
                         self.retries_performed += 1
                         self._log("retry", key=key, attempt=attempt,
                                   kind=kind, error=error,
@@ -846,7 +835,11 @@ class ExperimentRunner:
         A hung task cannot be cancelled, only killed — the workers reset
         SIGTERM to its default action, so ``terminate()`` does it.  The
         kill holds the lock that submits take (a pool forks its workers
-        on its first submit), so no worker can start after it."""
+        on its first submit), so no worker can start after it.  The
+        executor's manager thread sees the broken pool and joins the
+        same workers, so it is awaited before they are: a ``join`` that
+        lost the ``waitpid`` race to it would record no exit code, and
+        the dead worker would still count as a live child."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
             if pool is None:
@@ -858,7 +851,7 @@ class ExperimentRunner:
                     proc.terminate()
                 except OSError:  # already gone
                     pass
-            pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
         for proc in workers:
             proc.join()
 
@@ -885,8 +878,7 @@ class ExperimentRunner:
             self._own_spans = None
 
     def _run_parallel(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                      jobs: int, timeout: Optional[float],
-                      retries: int) -> None:
+                      jobs: int) -> None:
         """Fan ``pending`` over the worker pool, surviving worker failures.
 
         Structure: a work queue of (key, attempt) plus an in-flight map
@@ -906,6 +898,7 @@ class ExperimentRunner:
 
         cache = str(self.cache_dir) if self.cache_dir is not None else ""
         traced = self.spans is not None and self._trace_parent is not None
+        timeout, retries = self.task_timeout, self.retries
         limit = jobs if timeout else 2 * jobs
         queue: Deque[Tuple[str, int]] = deque(
             (key, 0) for key in pending
@@ -1020,59 +1013,6 @@ class ExperimentRunner:
             if inflight:
                 self._kill_pool()
             raise
-
-    def run_seeds(self, workload: str, config: CoreConfig,
-                  seeds: Sequence[int],
-                  jobs: Optional[int] = None) -> List[SimResult]:
-        """Run the same (workload, config) across several data seeds."""
-        return self.run_many(
-            [(workload, config, seed) for seed in seeds], jobs=jobs
-        )
-
-    def run_arch(self, workload: str, arch: str, width: int = 8, **overrides) -> SimResult:
-        """Run (or fetch) using a named architecture preset."""
-        return self.run(workload, config_for(arch, width=width, **overrides))
-
-    # ------------------------------------------------------------------
-    def suite_results(
-        self,
-        config: CoreConfig,
-        workloads: Sequence[str] = SUITE_NAMES,
-        jobs: Optional[int] = None,
-    ) -> Dict[str, Union[SimResult, FailedResult]]:
-        """Run the whole suite under one configuration.
-
-        Quarantined cells appear as :class:`FailedResult` values —
-        filter with ``result.ok`` and see :meth:`failure_summary`.
-        """
-        results = self.run_many(
-            [(name, config) for name in workloads], jobs=jobs
-        )
-        return dict(zip(workloads, results))
-
-    def speedups_over(
-        self,
-        config: CoreConfig,
-        baseline: CoreConfig,
-        workloads: Sequence[str] = SUITE_NAMES,
-        jobs: Optional[int] = None,
-    ) -> Dict[str, float]:
-        """Per-workload speedup (execution time ratio) of config vs baseline.
-
-        Workloads whose baseline or test cell was quarantined are left
-        out of the result (check :attr:`failures` for the why).
-        """
-        tasks: List[Task] = [(name, baseline) for name in workloads]
-        tasks += [(name, config) for name in workloads]
-        results = self.run_many(tasks, jobs=jobs)
-        out = {}
-        for index, name in enumerate(workloads):
-            base = results[index]
-            test = results[index + len(workloads)]
-            if not (base.ok and test.ok):
-                continue
-            out[name] = base.seconds / test.seconds
-        return out
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -5,19 +5,18 @@ Commands:
 * ``workloads`` — list the kernel suite with one-line descriptions.
 * ``configs`` — list the microarchitecture presets (Tables I & II).
 * ``simulate WORKLOAD ARCH`` — run one simulation and print its summary.
+  ``--trace-out F`` writes a cycle-level pipeline trace (Chrome
+  trace-event JSON or Konata log) and ``--metrics`` collects the
+  hardware-counter registry and the interval time-series; either adds
+  the stall-attribution and occupancy breakdowns, and ``--metrics`` adds
+  sparkline tables of IPC / occupancy / queue depth / stall-class
+  history, top counters and histograms.  ``--csv``, ``--json-out`` and
+  ``--prometheus`` export the metrics (each implies ``--metrics``), and
+  a Chrome trace of a metrics run carries the samples as counter ("C")
+  tracks (docs/observability.md).
 * ``compare WORKLOAD [ARCH ...]`` — side-by-side IPC/energy comparison.
 * ``suite ARCH`` — run the whole suite under one design.
 * ``report`` — print the paper-vs-measured EXPERIMENTS report.
-* ``trace WORKLOAD ARCH --trace-out F`` — cycle-level pipeline trace:
-  writes a Chrome trace-event JSON (or Konata log) and prints the
-  stall-attribution and occupancy breakdowns (see docs/observability.md).
-* ``metrics WORKLOAD ARCH`` — hardware-counter metrics registry plus
-  the interval time-series sampler: sparkline tables of IPC /
-  occupancy / queue depth / stall-class history, top counters and
-  histograms; ``--csv`` exports the samples, ``--trace-out`` writes a
-  Chrome trace with counter ("C") tracks overlaid
-  (docs/observability.md).  ``simulate --metrics`` prints the same
-  tables after the normal summary.
 * ``fuzz`` — differential fuzzing across the scheduler zoo with
   per-cycle invariants and ddmin-shrunken repros (docs/correctness.md);
   the global ``--ops`` caps each generated program's dynamic length and
@@ -59,8 +58,8 @@ results are identical to serial; see docs/performance.md).
 runs: cells that crash, hang or raise are retried and eventually
 quarantined instead of sinking the campaign (batch commands then report
 partial results and exit non-zero; see docs/robustness.md).  Traced
-and metrics-instrumented runs bypass the cache (``simulate``/
-``compare`` also accept ``--trace-out``).  ``--run-log FILE`` (or
+and metrics-instrumented runs bypass the cache (``compare`` also
+accepts ``--trace-out``).  ``--run-log FILE`` (or
 ``$REPRO_RUN_LOG``) appends a structured JSONL campaign log —
 submit/start/finish/retry/timeout/quarantine events with durations and
 worker pids — and ``--progress`` prints a live heartbeat line to
@@ -76,7 +75,7 @@ from typing import List, Optional
 
 from .analysis.report import format_table
 from .analysis.runner import (DEFAULT_OPS, DEFAULT_SEED, ExperimentRunner,
-                              geomean)
+                              cache_root, geomean)
 from .core.config import FIG11_ARCHES, config_for
 from .energy.model import EnergyModel
 from .workloads.kernels import KERNELS
@@ -150,6 +149,14 @@ def _sampling_from_args(args) -> Optional[dict]:
     return knobs
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer above zero."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -190,17 +197,30 @@ def _make_parser() -> argparse.ArgumentParser:
     sim.add_argument("workload", choices=sorted(KERNELS))
     sim.add_argument("arch", choices=_ALL_ARCHES)
     sim.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="also write a cycle-level pipeline trace here")
+                     help="write a cycle-level pipeline trace here and "
+                          "print the stall-attribution and occupancy "
+                          "tables (bypasses the cache)")
     sim.add_argument("--trace-format", choices=("chrome", "konata"),
                      default=None, help="trace format (default: by extension)")
     sim.add_argument("--metrics", action="store_true",
                      help="collect the hardware counters + interval "
-                          "time-series and print their tables (bypasses "
-                          "the cache)")
-    sim.add_argument("--sample-interval", type=int, default=None,
+                          "time-series and print their tables and the "
+                          "stall-attribution tables (bypasses the cache; "
+                          "a Chrome --trace-out gets the samples as "
+                          "counter tracks)")
+    sim.add_argument("--sample-interval", type=_positive_int, default=None,
                      metavar="N",
                      help="cycles between time-series samples "
                           "(default 1000; implies --metrics)")
+    sim.add_argument("--csv", default=None, metavar="FILE",
+                     help="write the interval samples as CSV (implies "
+                          "--metrics)")
+    sim.add_argument("--json-out", default=None, metavar="FILE",
+                     help="write the metrics snapshot + samples as JSON "
+                          "(implies --metrics)")
+    sim.add_argument("--prometheus", action="store_true",
+                     help="print only the metrics registry, in Prometheus "
+                          "text exposition format (implies --metrics)")
     sim.add_argument("--profile", action="store_true",
                      help="run under cProfile and print the top functions "
                           "by cumulative time and the calls per committed "
@@ -222,38 +242,6 @@ def _make_parser() -> argparse.ArgumentParser:
     cmp_cmd.add_argument("--trace-format", choices=("chrome", "konata"),
                          default=None,
                          help="trace format (default: by extension)")
-
-    trace_cmd = sub.add_parser(
-        "trace", help="cycle-level pipeline trace + stall attribution")
-    trace_cmd.add_argument("workload", choices=sorted(KERNELS))
-    trace_cmd.add_argument("arch", choices=_ALL_ARCHES)
-    trace_cmd.add_argument("--trace-out", default=None, metavar="FILE",
-                           help="trace output file (omit to only print "
-                                "the stall/occupancy breakdowns)")
-    trace_cmd.add_argument("--trace-format", choices=("chrome", "konata"),
-                           default=None,
-                           help="trace format (default: by extension)")
-
-    met = sub.add_parser(
-        "metrics",
-        help="hardware-counter metrics + interval time-series for one "
-             "run (bypasses the cache; see docs/observability.md)")
-    met.add_argument("workload", choices=sorted(KERNELS))
-    met.add_argument("arch", choices=_ALL_ARCHES)
-    met.add_argument("--sample-interval", type=int, default=1000,
-                     metavar="N",
-                     help="cycles between time-series samples "
-                          "(default 1000)")
-    met.add_argument("--csv", default=None, metavar="FILE",
-                     help="write the interval samples as CSV")
-    met.add_argument("--json-out", default=None, metavar="FILE",
-                     help="write the metrics snapshot + samples as JSON")
-    met.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write a Chrome trace with counter ('C') "
-                          "tracks overlaid on the pipeline events")
-    met.add_argument("--prometheus", action="store_true",
-                     help="print the metrics registry in Prometheus "
-                          "text exposition format instead of tables")
 
     suite = sub.add_parser("suite", help="run the whole suite on one design")
     suite.add_argument("arch", choices=_ALL_ARCHES)
@@ -551,26 +539,32 @@ def _cmd_configs(args) -> int:
     return 0
 
 
-def _traced_run(workload: str, arch: str, args, sampler=None):
+def _instrumented_run(workload: str, cfg, args, trace: bool,
+                      sample_interval: Optional[int] = None):
     """Run one simulation with telemetry on (bypasses the result cache).
 
-    Returns ``(result, tracer, pipeline)``; the finished pipeline is what
-    :func:`~repro.telemetry.core_metrics` reads.
+    Attaches a ``Tracer`` only with ``trace`` and an ``IntervalSampler``
+    only with a ``sample_interval``; the ``StallAttribution`` behind the
+    stall and occupancy tables rides along either way.  Returns
+    ``(result, tracer, pipeline)`` (``tracer`` is None untraced); the
+    finished pipeline is what :func:`~repro.telemetry.core_metrics`
+    reads.
     """
     from .core.pipeline import Pipeline
-    from .telemetry import StallAttribution, Tracer
+    from .telemetry import IntervalSampler, StallAttribution, Tracer
     from .workloads.suite import get_trace
 
-    cfg = config_for(arch, width=args.width)
-    trace = get_trace(workload, args.ops, args.seed)
-    tracer = Tracer()
-    pipe = Pipeline(trace, cfg, tracer=tracer,
-                    attribution=StallAttribution(), sampler=sampler)
+    tracer = Tracer() if trace else None
+    sampler = (IntervalSampler(sample_interval)
+               if sample_interval is not None else None)
+    pipe = Pipeline(get_trace(workload, args.ops, args.seed), cfg,
+                    tracer=tracer, attribution=StallAttribution(),
+                    sampler=sampler)
     return pipe.run(), tracer, pipe
 
 
 def _write_trace_file(tracer, path: str, fmt: Optional[str], label: str,
-                      metadata=None, samples=None) -> None:
+                      metadata=None, samples=None, out=None) -> None:
     from pathlib import Path
 
     from .telemetry import write_chrome_trace, write_konata
@@ -585,7 +579,7 @@ def _write_trace_file(tracer, path: str, fmt: Optional[str], label: str,
     else:
         write_chrome_trace(tracer, path, label=label, metadata=metadata,
                            samples=samples)
-    print(f"wrote {fmt} trace: {path}")
+    print(f"wrote {fmt} trace: {path}", file=out or sys.stdout)
 
 
 def _print_stall_tables(result) -> None:
@@ -642,68 +636,112 @@ def _profiled_simulate(args, cfg):
     return result
 
 
+def _write_metrics_files(args, cfg, result, registry, out) -> None:
+    """``--csv`` and ``--json-out``: the samples and the registry."""
+    import json
+    from pathlib import Path
+
+    samples = result.interval_samples
+    if args.csv:
+        from .telemetry import write_samples_csv
+
+        Path(args.csv).resolve().parent.mkdir(parents=True, exist_ok=True)
+        write_samples_csv(samples, args.csv)
+        print(f"wrote samples CSV: {args.csv}", file=out)
+    if args.json_out:
+        payload = {
+            "workload": args.workload,
+            "config": cfg.name,
+            "cycles": result.cycles,
+            "committed": result.stats.committed,
+            "sample_interval": result.sample_interval,
+            "metrics": registry.snapshot(),
+            "samples": samples,
+        }
+        target = Path(args.json_out).resolve()
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote metrics JSON: {args.json_out}", file=out)
+
+
 def _cmd_simulate(args) -> int:
     cfg = config_for(args.arch, width=args.width)
     profiling = args.profile or args.profile_out is not None
-    if profiling and (args.metrics or args.sample_interval or args.trace_out):
+    tracing = args.trace_out is not None
+    metrics_on = bool(args.metrics or args.sample_interval is not None
+                      or args.csv or args.json_out or args.prometheus)
+    if profiling and (tracing or metrics_on):
         print("--profile measures an undecorated run; ignoring "
-              "--metrics/--sample-interval/--trace-out", file=sys.stderr)
-        args.metrics, args.sample_interval, args.trace_out = False, None, None
-    metrics_on = args.metrics or args.sample_interval is not None
+              "--trace-out and the metrics flags", file=sys.stderr)
+        tracing = metrics_on = False
     sampling = _sampling_from_args(args)
-    if sampling is not None and (profiling or metrics_on or args.trace_out):
+    if sampling is not None and (profiling or metrics_on or tracing):
         # telemetry attaches to a full-detail Pipeline, so a "sampled
         # traced run" cannot exist — refuse rather than silently pick one
-        print("--sample cannot be combined with --metrics/"
-              "--sample-interval/--trace-out/--profile (telemetry "
-              "requires a full-detail run)", file=sys.stderr)
+        print("--sample cannot be combined with --trace-out/--profile or "
+              "the metrics flags (telemetry requires a full-detail run)",
+              file=sys.stderr)
         return 2
-    registry = sampler = None
-    if metrics_on:
-        from .telemetry import IntervalSampler
-
-        sampler = IntervalSampler(args.sample_interval or 1000)
-    if sampling is not None:
+    # --prometheus writes only the exposition to stdout
+    notices = sys.stderr if metrics_on and args.prometheus else sys.stdout
+    runner = tracer = registry = None
+    if profiling:
+        result = _profiled_simulate(args, cfg)
+    elif tracing or metrics_on:
+        result, tracer, pipe = _instrumented_run(
+            args.workload, cfg, args, trace=tracing,
+            sample_interval=(args.sample_interval or 1000) if metrics_on
+            else None)
+    else:
         from .core.sampling import with_sampling
 
         runner = _runner(args)
-        result = runner.run(args.workload, with_sampling(cfg, **sampling))
-    elif profiling:
-        result = _profiled_simulate(args, cfg)
-    elif args.trace_out or metrics_on:
-        result, tracer, pipe = _traced_run(args.workload, args.arch, args,
-                                           sampler=sampler)
-        if metrics_on:
-            from .telemetry import core_metrics
+        result = runner.run(args.workload, cfg if sampling is None
+                            else with_sampling(cfg, **sampling))
+        if not result.ok:
+            return _report_failures(runner)
+    # write files before the tables so a closed stdout pipe (e.g.
+    # `... | head`) can't lose them
+    if tracing:
+        _write_trace_file(
+            tracer, args.trace_out, args.trace_format,
+            label=f"{args.workload}/{cfg.name}",
+            metadata={"workload": args.workload, "config": cfg.name},
+            samples=result.interval_samples, out=notices,
+        )
+    if metrics_on:
+        from .telemetry import core_metrics
 
-            registry = core_metrics(pipe)
-        if args.trace_out:
-            # write the file before the tables so a closed stdout pipe
-            # (e.g. `... | head`) can't lose the trace
-            _write_trace_file(
-                tracer, args.trace_out, args.trace_format,
-                label=f"{args.workload}/{cfg.name}",
-                metadata={"workload": args.workload, "config": cfg.name},
-                samples=result.interval_samples,
-            )
-    else:
-        runner = _runner(args)
-        result = runner.run_arch(args.workload, args.arch, width=args.width)
+        registry = core_metrics(pipe)
+        _write_metrics_files(args, cfg, result, registry, notices)
+        if args.prometheus:
+            from .telemetry import render_prometheus
+
+            labels = {"workload": args.workload, "config": cfg.name}
+            print(render_prometheus(registry.snapshot(), labels=labels),
+                  end="")
+            return 0
     report = EnergyModel().evaluate(result, cfg)
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["workload", args.workload],
-            ["config", cfg.name],
-            ["cycles", result.cycles],
-            ["committed", result.stats.committed],
-            ["IPC", round(result.ipc, 3)],
-            ["branch mispredicts", result.stats.branch_mispredicts],
-            ["order violations", result.stats.order_violations],
-            ["energy/op (pJ)", round(report.energy_per_instruction_pj, 1)],
-        ],
-        title="simulation summary",
-    ))
+    rows = [
+        ["workload", args.workload],
+        ["config", cfg.name],
+        ["cycles", result.cycles],
+        ["committed", result.stats.committed],
+        ["IPC", round(result.ipc, 3)],
+        ["branch mispredicts", result.stats.branch_mispredicts],
+        ["order violations", result.stats.order_violations],
+        ["energy/op (pJ)", round(report.energy_per_instruction_pj, 1)],
+    ]
+    if tracing:
+        rows += [["events traced", len(tracer)],
+                 ["micro-ops traced", len(tracer.ops)],
+                 ["squashes traced",
+                  tracer.stage_counts().get("squash", 0)]]
+    if metrics_on:
+        rows += [["samples", len(result.interval_samples)],
+                 ["sample interval", result.sample_interval],
+                 ["metrics registered", len(registry)]]
+    print(format_table(["metric", "value"], rows, title="simulation summary"))
     if result.sampled:
         print()
         _print_sampled_summary(result)
@@ -727,11 +765,11 @@ def _cmd_simulate(args) -> int:
          if fraction > 0.005},
         title="core energy by component (Fig. 15 categories)",
     ))
-    if args.trace_out:
+    if tracing or metrics_on:
         _print_stall_tables(result)
     if metrics_on:
         _print_metrics_tables(result, registry)
-    return 0
+    return 0 if runner is None else _report_failures(runner)
 
 
 def _print_sampled_summary(result) -> None:
@@ -831,71 +869,6 @@ def _print_metrics_tables(result, registry) -> None:
         ))
 
 
-def _cmd_metrics(args) -> int:
-    import json
-    from pathlib import Path
-
-    from .telemetry import IntervalSampler, core_metrics
-
-    sampler = IntervalSampler(args.sample_interval)
-    result, tracer, pipe = _traced_run(args.workload, args.arch, args,
-                                       sampler=sampler)
-    registry = core_metrics(pipe)
-    cfg = config_for(args.arch, width=args.width)
-    samples = result.interval_samples
-    # write artefacts before the tables so a closed stdout pipe
-    # (e.g. `... | head`) can't lose them
-    if args.trace_out:
-        _write_trace_file(
-            tracer, args.trace_out, "chrome",
-            label=f"{args.workload}/{cfg.name}",
-            metadata={"workload": args.workload, "config": cfg.name},
-            samples=samples,
-        )
-    if args.csv:
-        from .telemetry import write_samples_csv
-
-        Path(args.csv).resolve().parent.mkdir(parents=True, exist_ok=True)
-        write_samples_csv(samples, args.csv)
-        print(f"wrote samples CSV: {args.csv}")
-    if args.json_out:
-        payload = {
-            "workload": args.workload,
-            "config": cfg.name,
-            "cycles": result.cycles,
-            "committed": result.stats.committed,
-            "sample_interval": result.sample_interval,
-            "metrics": registry.snapshot(),
-            "samples": samples,
-        }
-        target = Path(args.json_out).resolve()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote metrics JSON: {args.json_out}")
-    if args.prometheus:
-        from .telemetry import render_prometheus
-
-        labels = {"workload": args.workload, "config": cfg.name}
-        print(render_prometheus(registry.snapshot(), labels=labels), end="")
-        return 0
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["workload", args.workload],
-            ["config", cfg.name],
-            ["cycles", result.cycles],
-            ["committed", result.stats.committed],
-            ["IPC", round(result.ipc, 3)],
-            ["samples", len(samples)],
-            ["sample interval", result.sample_interval],
-            ["metrics registered", len(registry)],
-        ],
-        title="instrumented simulation",
-    ))
-    _print_metrics_tables(result, registry)
-    return 0
-
-
 def _trace_path_for_arch(path: str, arch: str) -> str:
     stem, dot, suffix = path.rpartition(".")
     if not dot:
@@ -921,8 +894,10 @@ def _cmd_compare(args) -> int:
         by_arch = dict(zip(args.arches, results))
     rows = []
     for arch in args.arches:
+        cfg = config_for(arch, width=args.width)
         if args.trace_out:
-            result, tracer, _ = _traced_run(args.workload, arch, args)
+            result, tracer, _ = _instrumented_run(args.workload, cfg, args,
+                                                  trace=True)
             _write_trace_file(
                 tracer, _trace_path_for_arch(args.trace_out, arch),
                 args.trace_format, label=f"{args.workload}/{arch}",
@@ -933,7 +908,6 @@ def _cmd_compare(args) -> int:
         if not result.ok:
             rows.append([arch, "FAILED", result.kind, "", ""])
             continue
-        cfg = config_for(arch, width=args.width)
         report = model.evaluate(result, cfg)
         rows.append([
             arch, round(result.ipc, 3), result.cycles,
@@ -1012,36 +986,6 @@ def _cmd_suite(args) -> int:
               + (" (sampled)" if sampling is not None else ""),
     ))
     return _report_failures(runner)
-
-
-def _cmd_trace(args) -> int:
-    result, tracer, _ = _traced_run(args.workload, args.arch, args)
-    cfg = config_for(args.arch, width=args.width)
-    # write the file before the tables so a closed stdout pipe
-    # (e.g. `repro trace ... | head`) can't lose the trace
-    if args.trace_out:
-        _write_trace_file(
-            tracer, args.trace_out, args.trace_format,
-            label=f"{args.workload}/{cfg.name}",
-            metadata={"workload": args.workload, "config": cfg.name},
-        )
-    counts = tracer.stage_counts()
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["workload", args.workload],
-            ["config", cfg.name],
-            ["cycles", result.cycles],
-            ["committed", result.stats.committed],
-            ["IPC", round(result.ipc, 3)],
-            ["events traced", len(tracer)],
-            ["micro-ops traced", len(tracer.ops)],
-            ["squashes traced", counts.get("squash", 0)],
-        ],
-        title="traced simulation",
-    ))
-    _print_stall_tables(result)
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -1362,6 +1306,17 @@ def _campaign_spec(args):
     return spec, shard
 
 
+def _missing_cache(cache: Optional[str]) -> bool:
+    """Whether the cache a read-only command reads is missing (then said
+    on stderr).  Such a command creates nothing, and a mistyped
+    directory would only show every cell missing."""
+    root = cache_root(cache)
+    if root is None or root.is_dir():
+        return False
+    print(f"cache directory {root} does not exist", file=sys.stderr)
+    return True
+
+
 def _cmd_campaign(args) -> int:
     from pathlib import Path
 
@@ -1384,6 +1339,8 @@ def _cmd_campaign(args) -> int:
               f"{failed} failed")
         return 0 if failed == 0 else 1
     if args.merge:
+        if _missing_cache(cache):
+            return 2
         merged = merge_shards(spec, args.campaign_dir, cache_dir=cache)
         print(merged.summary())
         has_spans = any(Path(args.campaign_dir).glob("spans-*.jsonl"))
@@ -1413,6 +1370,8 @@ def _cmd_reconcile(args) -> int:
         return 2
     cache = "" if args.no_cache else args.cache_dir
     if args.check:
+        if _missing_cache(cache):
+            return 2
         diff = Detector(spec, cache_dir=cache).diff(args.campaign_dir)
         print(diff.summary())
         rows = [[status.seq,
@@ -1455,10 +1414,8 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "configs": _cmd_configs,
     "simulate": _cmd_simulate,
-    "metrics": _cmd_metrics,
     "compare": _cmd_compare,
     "suite": _cmd_suite,
-    "trace": _cmd_trace,
     "report": _cmd_report,
     "figure": _cmd_figure,
     "characterize": _cmd_characterize,

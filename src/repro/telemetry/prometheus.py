@@ -133,7 +133,7 @@ def render_prometheus(
     """Render a registry snapshot as a text exposition document.
 
     ``labels`` (if given) are attached to every sample — constant
-    labels such as the workload/config of a ``repro metrics`` run.
+    labels such as the workload/config of a ``repro simulate`` run.
     ``help_text`` maps *dotted* registry names to HELP strings; the
     default help names the source metric.
     """

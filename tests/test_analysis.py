@@ -1,9 +1,16 @@
 """Tests for the experiment runner, caching, and report helpers."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis import ExperimentRunner, format_table, geomean, normalise
+from repro.analysis.runner import model_digest
+from repro.cli import _ALL_ARCHES
 from repro.core import config_for
+from repro.core.sampling import with_sampling
 from repro.core.stats import SimResult
 
 
@@ -13,17 +20,17 @@ class TestRunner:
 
     def test_memory_cache(self, tmp_path):
         runner = self._runner(tmp_path)
-        a = runner.run_arch("histogram", "ooo")
-        b = runner.run_arch("histogram", "ooo")
+        a = runner.run("histogram", config_for("ooo"))
+        b = runner.run("histogram", config_for("ooo"))
         assert runner.simulations_run == 1
         assert runner.cache_hits == 1
         assert a.cycles == b.cycles
 
     def test_disk_cache_roundtrip(self, tmp_path):
         first = self._runner(tmp_path)
-        a = first.run_arch("histogram", "ballerino")
+        a = first.run("histogram", config_for("ballerino"))
         second = self._runner(tmp_path)
-        b = second.run_arch("histogram", "ballerino")
+        b = second.run("histogram", config_for("ballerino"))
         assert second.simulations_run == 0
         assert b.cycles == a.cycles
         assert b.stats.energy_events == a.stats.energy_events
@@ -31,27 +38,41 @@ class TestRunner:
 
     def test_distinct_configs_not_conflated(self, tmp_path):
         runner = self._runner(tmp_path)
-        runner.run_arch("histogram", "ooo")
-        runner.run_arch("histogram", "inorder")
+        runner.run("histogram", config_for("ooo"))
+        runner.run("histogram", config_for("inorder"))
         assert runner.simulations_run == 2
 
     def test_piq_override_changes_key(self, tmp_path):
         runner = self._runner(tmp_path)
-        runner.run_arch("histogram", "ballerino")
-        runner.run_arch("histogram", "ballerino", num_piqs=11)
+        runner.run("histogram", config_for("ballerino"))
+        runner.run("histogram", config_for("ballerino", num_piqs=11))
         assert runner.simulations_run == 2
 
     def test_speedups_over(self, tmp_path):
         runner = self._runner(tmp_path)
-        speedups = runner.speedups_over(
-            config_for("ooo"), config_for("inorder"), workloads=["hash_probe"]
-        )
-        assert speedups["hash_probe"] > 1.0
+        base, test = runner.run_many([("hash_probe", config_for("inorder")),
+                                      ("hash_probe", config_for("ooo"))])
+        assert base.seconds / test.seconds > 1.0
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 10])
+    def test_key_hashes_the_config_fields(self, width):
+        """``key_for`` serialises the config without ``asdict``'s deep
+        copy, to the same text: every preset, plain and sampled."""
+        runner = ExperimentRunner(target_ops=1500, cache_dir="")
+        for arch in _ALL_ARCHES:
+            plain = config_for(arch, width=width)
+            for config in (plain, with_sampling(plain)):
+                blob = json.dumps({
+                    "model": model_digest(), "workload": "dotprod",
+                    "ops": 1500, "seed": runner.seed,
+                    "config": dataclasses.asdict(config)}, sort_keys=True)
+                assert runner.key_for("dotprod", config) == \
+                    hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def test_disabled_disk_cache(self):
         runner = ExperimentRunner(target_ops=1000, cache_dir="")
         assert runner.cache_dir is None
-        runner.run_arch("histogram", "inorder")
+        runner.run("histogram", config_for("inorder"))
 
 
 class TestHelpers:

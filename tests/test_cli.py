@@ -75,6 +75,21 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             cli("simulate", "histogram", "nosuch")
 
+    def test_simulate_reports_a_lost_cell(self, cli, capsys, monkeypatch):
+        """A run that keeps failing is retried, quarantined and reported,
+        as ``compare`` and ``suite`` report theirs."""
+        import repro.analysis.runner as runner_mod
+
+        def explode(trace, config, phase_hook=None):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(runner_mod, "simulate", explode)
+        assert cli("--retries", "1", "simulate", "histogram", "ooo") == 1
+        captured = capsys.readouterr()
+        assert "simulation summary" not in captured.out
+        assert "1 cell(s) quarantined" in captured.err
+        assert "error after 2 attempt(s)" in captured.err
+
     # A host-independent speed guard: the pipeline is built before the
     # profiler starts, so the count repeats exactly.  Each ceiling is
     # the current figure plus 3% (95.8, 105.0, 101.9, 94.6 and 98.0).
@@ -98,8 +113,11 @@ class TestSimulate:
 
 
 class TestTrace:
-    def test_trace_prints_stall_attribution(self, cli, capsys):
-        assert cli("trace", "dotprod", "ballerino") == 0
+    """``simulate --trace-out``: the pipeline trace and its breakdowns."""
+
+    def test_trace_prints_stall_attribution(self, cli, capsys, tmp_path):
+        assert cli("simulate", "dotprod", "ballerino",
+                   "--trace-out", str(tmp_path / "t.json")) == 0
         out = capsys.readouterr().out
         assert "stall attribution" in out
         assert "TOTAL" in out and "100.0" in out
@@ -109,25 +127,28 @@ class TestTrace:
         from repro.telemetry import read_chrome_trace
 
         path = tmp_path / "trace.json"
-        assert cli("trace", "dotprod", "ooo", "--trace-out", str(path)) == 0
+        assert cli("simulate", "dotprod", "ooo",
+                   "--trace-out", str(path)) == 0
         document = read_chrome_trace(str(path))
         assert document["traceEvents"]
         assert str(path) in capsys.readouterr().out
 
     def test_trace_konata_inferred_from_extension(self, cli, tmp_path):
         path = tmp_path / "trace.kanata"
-        assert cli("trace", "dotprod", "inorder", "--trace-out", str(path)) == 0
+        assert cli("simulate", "dotprod", "inorder",
+                   "--trace-out", str(path)) == 0
         assert path.read_text().startswith("Kanata\t0004")
 
     def test_trace_format_flag_overrides_extension(self, cli, tmp_path):
         path = tmp_path / "trace.json"
-        assert cli("trace", "dotprod", "ooo", "--trace-out", str(path),
+        assert cli("simulate", "dotprod", "ooo", "--trace-out", str(path),
                    "--trace-format", "konata") == 0
         assert path.read_text().startswith("Kanata\t0004")
 
-    def test_trace_rejects_unknown_arch(self, cli):
+    def test_trace_rejects_unknown_arch(self, cli, tmp_path):
         with pytest.raises(SystemExit):
-            cli("trace", "dotprod", "nosuch")
+            cli("simulate", "dotprod", "nosuch",
+                "--trace-out", str(tmp_path / "t.json"))
 
     def test_simulate_accepts_trace_out(self, cli, capsys, tmp_path):
         path = tmp_path / "sim.json"
@@ -143,21 +164,31 @@ class TestTrace:
         assert (tmp_path / "cmp.inorder.json").exists()
         assert (tmp_path / "cmp.ooo.json").exists()
 
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_single_run_has_one_command(self, cli, command):
+        """``simulate`` is the only single-run command."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli(command, "dotprod", "ooo")
+        assert excinfo.value.code == 2
+
 
 class TestMetrics:
+    """``simulate --metrics`` and the flags that imply it."""
+
     def test_metrics_command_prints_tables(self, cli, capsys):
-        assert cli("metrics", "histogram", "ballerino",
+        assert cli("simulate", "histogram", "ballerino",
                    "--sample-interval", "300") == 0
         out = capsys.readouterr().out
-        assert "instrumented simulation" in out
+        assert "metrics registered" in out
         assert "interval time-series" in out
         assert "top counters" in out
         assert "pipeline.commit_ops" in out
         assert "stall-class fractions" in out
+        assert "stall attribution" in out and "TOTAL" in out
 
     def test_metrics_csv_export(self, cli, capsys, tmp_path):
         path = tmp_path / "samples.csv"
-        assert cli("metrics", "dotprod", "ooo",
+        assert cli("simulate", "dotprod", "ooo",
                    "--sample-interval", "300", "--csv", str(path)) == 0
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
@@ -168,7 +199,7 @@ class TestMetrics:
         from repro.telemetry import read_chrome_trace
 
         path = tmp_path / "trace.json"
-        assert cli("metrics", "dotprod", "ooo",
+        assert cli("simulate", "dotprod", "ooo",
                    "--sample-interval", "300",
                    "--trace-out", str(path)) == 0
         document = read_chrome_trace(str(path))
@@ -181,7 +212,7 @@ class TestMetrics:
         import json
 
         path = tmp_path / "metrics.json"
-        assert cli("metrics", "histogram", "ces",
+        assert cli("simulate", "histogram", "ces",
                    "--sample-interval", "400", "--json-out", str(path)) == 0
         payload = json.loads(path.read_text())
         assert payload["workload"] == "histogram"
@@ -197,9 +228,37 @@ class TestMetrics:
         assert "interval time-series" in out
         assert "top counters" in out
 
-    def test_metrics_rejects_bad_interval(self, cli):
-        with pytest.raises(ValueError):
-            cli("metrics", "histogram", "ooo", "--sample-interval", "0")
+    def test_metrics_rejects_bad_interval(self, cli, capsys):
+        for interval in ("0", "-5"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli("simulate", "histogram", "ooo",
+                    "--sample-interval", interval)
+            assert excinfo.value.code == 2
+            assert "--sample-interval: must be positive" in \
+                capsys.readouterr().err
+
+    def test_prometheus_writes_only_the_exposition(self, cli, capsys,
+                                                    tmp_path):
+        from repro.telemetry.prometheus import lint_prometheus
+
+        path = tmp_path / "samples.csv"
+        assert cli("simulate", "dotprod", "ooo", "--prometheus",
+                   "--csv", str(path)) == 0
+        captured = capsys.readouterr()
+        assert lint_prometheus(captured.out) == []
+        assert 'config="ooo-8w"' in captured.out
+        assert "simulation summary" not in captured.out
+        assert f"wrote samples CSV: {path}" in captured.err
+        assert path.exists()
+
+    def test_metrics_alone_attaches_no_tracer(self, cli, monkeypatch):
+        import repro.telemetry as telemetry
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Tracer nobody reads")
+
+        monkeypatch.setattr(telemetry, "Tracer", refuse)
+        assert cli("simulate", "dotprod", "ooo", "--metrics") == 0
 
 
 class TestRunLogAndCacheHealth:
@@ -472,6 +531,22 @@ class TestCampaignReconcile:
         payload = json.loads(out_file.read_text())
         assert payload["converged"] is True
         assert payload["initial"]["missing"] > 0
+
+    @pytest.mark.parametrize("command", [
+        ("reconcile", "--check"), ("campaign", "--merge")],
+        ids=["reconcile-check", "campaign-merge"])
+    def test_read_only_command_needs_an_existing_cache(self, cli, capsys,
+                                                       dirs, tmp_path,
+                                                       command):
+        camp, cache = dirs
+        assert cli(*self._shard_args(camp, cache, 0)) == 0
+        capsys.readouterr()
+        typo = tmp_path / "shared-cahce"
+        assert cli(command[0], "--campaign-dir", camp,
+                   "--cache-dir", str(typo), command[1]) == 2
+        assert f"cache directory {typo} does not exist" in \
+            capsys.readouterr().err
+        assert not typo.exists()
 
     def test_reconcile_without_manifest_fails_cleanly(self, cli, capsys,
                                                       tmp_path):

@@ -53,6 +53,45 @@ class TestCliAndConfigAgreement:
                 assert f"`{name}`" in text, f"{name} missing from docs"
 
 
+class TestCliInvocationsInDocs:
+    def test_every_repro_invocation_names_a_subcommand(self):
+        """Each ``python -m repro ...`` in the README, docs/ and the
+        verify recipe runs a subcommand the parser has."""
+        import argparse
+
+        from repro.cli import _make_parser
+
+        parser = _make_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)
+                        ).choices
+        takes_value = {option for action in parser._actions
+                       if action.nargs != 0
+                       for option in action.option_strings}
+        recipes = sorted(REPO.glob("*/skills/*/SKILL.md"))
+        assert recipes, "the verify recipe is missing"
+        paths = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
+                 *recipes]
+        invocation = re.compile(r"python3? -m repro(?![\w.])([^\n`|#;&]*)")
+        named, unknown = [], []
+        for path in paths:
+            # shell line continuations join one command
+            text = re.sub(r"\\\n\s*", " ", path.read_text())
+            for match in invocation.finditer(text):
+                tokens = match.group(1).split()
+                index = 0
+                while index < len(tokens) and tokens[index].startswith("-"):
+                    index += 2 if tokens[index] in takes_value else 1
+                if index >= len(tokens) or tokens[index].startswith("<"):
+                    continue  # `--version`, the bare module, `<command>`
+                named.append(tokens[index])
+                if tokens[index] not in commands:
+                    unknown.append(f"{path.relative_to(REPO)}: "
+                                   f"{match.group(0).strip()}")
+        assert len(named) > 50
+        assert unknown == []
+
+
 class TestExamplesAreRunnableFiles:
     @pytest.mark.parametrize("name", [
         "quickstart.py", "custom_workload.py", "design_space.py",

@@ -65,8 +65,8 @@ class TestHeadlineClaims:
     def test_ballerino12_within_a_few_percent_of_ooo(self, runner):
         ratios = []
         for workload in SMOKE_NAMES:
-            ooo = runner.run_arch(workload, "ooo")
-            b12 = runner.run_arch(workload, "ballerino12")
+            ooo = runner.run(workload, config_for("ooo"))
+            b12 = runner.run(workload, config_for("ballerino12"))
             ratios.append(ooo.cycles / b12.cycles)
         assert geomean(ratios) > 0.9
 
@@ -74,16 +74,15 @@ class TestHeadlineClaims:
         model = EnergyModel()
         effs = []
         for workload in SMOKE_NAMES:
-            ooo = model.evaluate(runner.run_arch(workload, "ooo"),
-                                 config_for("ooo"))
-            bal = model.evaluate(runner.run_arch(workload, "ballerino12"),
-                                 config_for("ballerino12"))
+            ooo_cfg, bal_cfg = config_for("ooo"), config_for("ballerino12")
+            ooo = model.evaluate(runner.run(workload, ooo_cfg), ooo_cfg)
+            bal = model.evaluate(runner.run(workload, bal_cfg), bal_cfg)
             effs.append(bal.efficiency / ooo.efficiency)
         assert geomean(effs) > 1.0
 
     def test_all_fig11_arches_simulate(self, runner):
         for arch in FIG11_ARCHES:
-            result = runner.run_arch("histogram", arch)
+            result = runner.run("histogram", config_for(arch))
             assert result.stats.committed > 0
 
 

@@ -87,20 +87,19 @@ class TestWrongPathEnergy:
 class TestSeedSensitivity:
     def test_run_seeds_distinct_results(self, tmp_path):
         runner = ExperimentRunner(target_ops=1000, cache_dir=str(tmp_path))
-        results = runner.run_seeds(
-            "hash_probe", config_for("ooo"), seeds=(1, 2, 3)
-        )
+        tasks = [("hash_probe", config_for("ooo"), seed) for seed in (1, 2, 3)]
+        results = runner.run_many(tasks)
         assert len(results) == 3
         assert len({r.cycles for r in results}) >= 2  # data changes timing
         # cached on the second pass
         before = runner.simulations_run
-        runner.run_seeds("hash_probe", config_for("ooo"), seeds=(1, 2, 3))
+        runner.run_many(tasks)
         assert runner.simulations_run == before
 
     def test_seed_does_not_leak_into_default(self, tmp_path):
         runner = ExperimentRunner(target_ops=1000, seed=7,
                                   cache_dir=str(tmp_path))
-        default = runner.run_arch("hash_probe", "ooo")
+        default = runner.run("hash_probe", config_for("ooo"))
         seeded = runner.run("hash_probe", config_for("ooo"), seed=7)
         assert seeded.cycles == default.cycles
         assert runner.simulations_run == 1

@@ -57,28 +57,31 @@ def test_run_many_serves_from_cache(tmp_path):
     assert second.cache_hits == len(tasks)
 
 
-def test_suite_and_speedup_helpers_parallel_parity(tmp_path):
-    config, base = config_for("ballerino"), config_for("inorder")
-    serial = _runner(tmp_path, "s")
-    parallel = _runner(tmp_path, "p", jobs=3)
-    assert {
-        name: _dumps(r)
-        for name, r in serial.suite_results(config, WORKLOADS).items()
-    } == {
-        name: _dumps(r)
-        for name, r in parallel.suite_results(config, WORKLOADS).items()
-    }
-    assert serial.speedups_over(config, base, WORKLOADS) == pytest.approx(
-        parallel.speedups_over(config, base, WORKLOADS)
-    )
+def test_runner_jobs_parallel_parity(tmp_path):
+    """A runner built with ``jobs`` fans its batches out by default, and
+    its suite results match a serial runner's byte for byte."""
+    from repro.telemetry import read_run_log
+
+    tasks = [(w, config_for(arch)) for arch in ("inorder", "ballerino")
+             for w in WORKLOADS]
+    serial = _runner(tmp_path, "s").run_many(tasks)
+    runner = _runner(tmp_path, "p", jobs=3,
+                     run_log=str(tmp_path / "run.jsonl"))
+    try:
+        parallel = runner.run_many(tasks)
+    finally:
+        runner.close()
+    start = read_run_log(str(tmp_path / "run.jsonl"),
+                         event="campaign_start")[0]
+    assert start["mode"] == "parallel" and start["jobs"] == 3
+    assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
 
 
 def test_run_seeds_parallel(tmp_path):
     config = config_for("ooo")
-    serial = _runner(tmp_path, "s").run_seeds("histogram", config, (1, 2, 3))
-    parallel = _runner(tmp_path, "p").run_seeds(
-        "histogram", config, (1, 2, 3), jobs=3
-    )
+    tasks = [("histogram", config, seed) for seed in (1, 2, 3)]
+    serial = _runner(tmp_path, "s").run_many(tasks)
+    parallel = _runner(tmp_path, "p").run_many(tasks, jobs=3)
     assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
     assert len({_dumps(r) for r in serial}) == 3  # seeds actually differ
 
@@ -242,6 +245,22 @@ def test_pool_persists_across_batches_until_close(tmp_path):
     with pytest.raises(RuntimeError):
         runner.run_many([(w, config_for("inorder")) for w in WORKLOADS])
     assert runner.run_log is None  # closed with the pool
+
+
+def test_close_leaves_no_thread_or_worker_behind(tmp_path):
+    """``close()`` after a parallel batch reaps every worker and the
+    executor's manager thread: a worker the manager joined first must
+    not linger as a live child."""
+    import multiprocessing
+    import threading
+
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    runner = _runner(tmp_path, "close", jobs=2)
+    runner.run_many([(w, config_for("ooo")) for w in WORKLOADS])
+    runner.close()
+    assert set(threading.enumerate()) <= threads
+    assert set(multiprocessing.active_children()) <= children
 
 
 def test_no_leftover_tmp_files(tmp_path):

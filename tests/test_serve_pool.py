@@ -45,7 +45,7 @@ class StubRunner:
         self.cache_warnings = 0
         self.quarantined = {}
 
-    def run_many(self, tasks, jobs=1, retries=None):
+    def run_many(self, tasks, jobs=1):
         self.calls.append(list(tasks))
         if self.entered is not None:
             self.entered.set()
