@@ -1,10 +1,10 @@
 """Wall-clock performance harness for the simulator and experiment runner.
 
 Times a small suite matrix under the experiment runner in four phases —
-trace construction, serial cold run, parallel cold run, fully-cached
-warm run — plus single-simulation and sampled-tier microbenchmarks, and
-writes the numbers to a JSON file (``--out``, or ``$REPRO_BENCH_OUT``,
-default ``BENCH.json``)::
+trace construction, serial (one-worker) cold run, parallel cold run,
+fully-cached warm run — plus single-simulation and sampled-tier
+microbenchmarks, and writes the numbers to a JSON file (``--out``, or
+``$REPRO_BENCH_OUT``, default ``BENCH.json``)::
 
     PYTHONPATH=src python benchmarks/perf_harness.py --smoke
     PYTHONPATH=src python benchmarks/perf_harness.py --jobs 8 --ops 20000
@@ -27,6 +27,7 @@ phase's cache instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -57,6 +58,15 @@ def _phase(fn):
     start = time.perf_counter()
     value = fn()
     return time.perf_counter() - start, value
+
+
+def _timed_batch(tasks, ops: int, cache_dir: str, jobs: int):
+    """``(seconds, runner)`` of one ``run_many(tasks)`` on a fresh
+    ``jobs``-worker runner; the runner is closed after the clock stops."""
+    with contextlib.closing(ExperimentRunner(
+            target_ops=ops, cache_dir=cache_dir, jobs=jobs)) as runner:
+        seconds, _ = _phase(lambda: runner.run_many(tasks))
+    return seconds, runner
 
 
 def host_metadata() -> dict:
@@ -107,17 +117,13 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
 
     single_core = (os.cpu_count() or 1) == 1
 
-    # 1) serial cold: one cell at a time, empty result cache
+    # 1) serial cold: one worker, one cell at a time, empty result cache
     with tempfile.TemporaryDirectory() as cold_dir:
-        runner = ExperimentRunner(target_ops=ops, cache_dir=cold_dir)
-        seconds, _ = _phase(lambda: runner.run_many(tasks, jobs=1))
-        record("serial_cold", seconds, runner)
+        record("serial_cold", *_timed_batch(tasks, ops, cold_dir, 1))
         if single_core:
             # 3) warm phase runs off the serial cache instead (below, it
             #    runs off the parallel phase's cache)
-            warm = ExperimentRunner(target_ops=ops, cache_dir=cold_dir)
-            seconds, _ = _phase(lambda: warm.run_many(tasks, jobs=jobs))
-            record("warm_cached", seconds, warm)
+            record("warm_cached", *_timed_batch(tasks, ops, cold_dir, jobs))
 
     if single_core:
         # a process pool on one core only adds spawn + pickle overhead:
@@ -131,14 +137,10 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
         report["parallel_speedup"] = None
     else:
         with tempfile.TemporaryDirectory() as cold_dir:
-            runner = ExperimentRunner(target_ops=ops, cache_dir=cold_dir)
-            seconds, _ = _phase(lambda: runner.run_many(tasks, jobs=jobs))
-            record("parallel_cold", seconds, runner)
-
+            record("parallel_cold",
+                   *_timed_batch(tasks, ops, cold_dir, jobs))
             # 3) warm: everything served from the parallel run's cache
-            warm = ExperimentRunner(target_ops=ops, cache_dir=cold_dir)
-            seconds, _ = _phase(lambda: warm.run_many(tasks, jobs=jobs))
-            record("warm_cached", seconds, warm)
+            record("warm_cached", *_timed_batch(tasks, ops, cold_dir, jobs))
 
         serial = report["phases"]["serial_cold"]["seconds"]
         parallel = report["phases"]["parallel_cold"]["seconds"]
@@ -164,9 +166,8 @@ def run_harness(ops: int, jobs: int, smoke: bool) -> dict:
         for a in arches for w in workloads
     ]
     with tempfile.TemporaryDirectory() as sampled_dir:
-        runner = ExperimentRunner(target_ops=ops, cache_dir=sampled_dir)
-        seconds, _ = _phase(lambda: runner.run_many(sampled_tasks, jobs=1))
-        record("sampled_sweep", seconds, runner)
+        record("sampled_sweep",
+               *_timed_batch(sampled_tasks, ops, sampled_dir, 1))
 
     # 6) sampled speedup: one long trace, full-detail vs sampled — the
     #    headline number (>= 10x with < 5% IPC error, docs/performance.md)

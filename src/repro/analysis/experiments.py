@@ -20,6 +20,7 @@ performs every simulation (several minutes serially).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
@@ -965,8 +966,12 @@ def _section(figure: Figure, data: Any) -> List[str]:
 
 
 def build_report(runner: ExperimentRunner = None) -> str:
-    """Render the full paper-vs-measured Markdown report."""
-    runner = runner if runner is not None else ExperimentRunner()
+    """Render the full paper-vs-measured Markdown report.
+
+    Without a ``runner``, a default one is built and closed."""
+    if runner is None:
+        with contextlib.closing(ExperimentRunner()) as runner:
+            return build_report(runner)
     lines: List[str] = [
         "# EXPERIMENTS — paper vs. measured",
         "",

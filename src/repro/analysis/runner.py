@@ -1,14 +1,15 @@
-"""Experiment runner with a persistent result cache and a parallel mode.
+"""Experiment runner with a persistent result cache and a worker pool.
 
 Every figure in the paper's evaluation replays the same (workload, config)
 simulations; the runner memoises each run both in memory and on disk
 (JSON under ``.bench_cache/``) so the whole benchmark suite pays for each
-simulation exactly once.  :meth:`ExperimentRunner.run_many` additionally
-fans uncached (workload, config, seed) tuples across a
-``ProcessPoolExecutor`` that the runner starts on first use and keeps
-until :meth:`ExperimentRunner.close`; the disk cache is the merge point,
-so parallel and serial execution are byte-identical and every later
-lookup is a hit.
+simulation exactly once.  :meth:`ExperimentRunner.run_many` runs every
+uncached (workload, config, seed) tuple in a ``ProcessPoolExecutor`` of
+``jobs`` workers that the runner starts on its first uncached cell and
+keeps until :meth:`ExperimentRunner.close`; a closed runner serves cache
+hits only.  The worker writes each entry to the disk cache, the merge
+point, so results are byte-identical whatever the worker count and
+every later lookup is a hit.
 
 A cell's cache key (:meth:`ExperimentRunner.key_for`) hashes
 everything that decides its result: the workload, op count and seed,
@@ -70,7 +71,7 @@ DEFAULT_SEED = 7
 
 #: Base delay (seconds) for the exponential pool-respawn backoff.
 BACKOFF_BASE = 0.1
-#: How often the parallel loop polls for completions/timeouts (seconds).
+#: How often the batch loop polls for completions/timeouts (seconds).
 _POLL_INTERVAL = 0.1
 
 #: One run request: (workload, config) or (workload, config, seed).
@@ -209,40 +210,21 @@ def _phase_recorder(phases: List[Tuple[str, float, float]]):
     return hook
 
 
-def _simulate_cell(workload: str, config: CoreConfig, seed: int,
-                   target_ops: int, traced: bool):
-    """``get_trace`` -> ``simulate`` for one cell, in-process or in a worker.
-
-    Returns ``(result, phases)``.  With ``traced``, ``phases`` lists the
-    ``(name, start_t, end_t)`` wall-clock bracket of the cell's
-    ``trace_decode`` and ``simulate`` steps and of every sampled
-    ``sim.*`` phase; the runner records them as child spans of the
-    cell.  Untraced, the same steps run bare and ``phases`` is empty.
-    """
-    if not traced:
-        return simulate(get_trace(workload, target_ops, seed), config), []
-    phases: List[Tuple[str, float, float]] = []
-    start_t = time.time()
-    trace = get_trace(workload, target_ops, seed)
-    decoded_t = time.time()
-    result = simulate(trace, config, phase_hook=_phase_recorder(phases))
-    phases += [("trace_decode", start_t, decoded_t),
-               ("simulate", decoded_t, time.time())]
-    return result, phases
-
-
 def _run_task(payload) -> Dict:
-    """Pool worker: simulate one (workload, config, seed) tuple.
+    """Pool worker: ``get_trace`` -> ``simulate`` for one cell.
 
     Module-level so it pickles; returns an envelope carrying
     ``SimResult.to_dict()``, the worker pid, its wall-clock start and
-    seconds (for the campaign run-log and the cell span) and the traced
-    steps of :func:`_simulate_cell`.  When a cache directory is
-    configured it publishes the entry atomically, so sibling workers and
-    future runners share it and the parent only keeps it in memory.
-    With ``REPRO_CHAOS`` set, the chaos harness gets a chance to inject
-    a fault (worker kill, hang, error, wedged scheduler) before/instead
-    of the real run.
+    seconds (for the campaign run-log and the cell span) and, when
+    ``traced``, the ``(name, start_t, end_t)`` wall-clock bracket of the
+    cell's ``trace_decode`` and ``simulate`` steps and of every sampled
+    ``sim.*`` phase, which the runner records as child spans of the
+    cell.  When a cache directory is configured it publishes the entry
+    atomically, creating the directory on the first write, so sibling
+    workers and future runners share it and the parent only keeps it in
+    memory.  With ``REPRO_CHAOS`` set, the chaos harness gets a chance
+    to inject a fault (worker kill, hang, error, wedged scheduler)
+    before/instead of the real run.
     """
     workload, config, seed, target_ops, cache_dir, key, attempt, traced = \
         payload
@@ -257,11 +239,19 @@ def _run_task(payload) -> Dict:
     else:
         result = None
     if result is None:
-        result, phases = _simulate_cell(workload, config, seed, target_ops,
-                                        traced)
+        decode_t = time.time()
+        trace = get_trace(workload, target_ops, seed)
+        decoded_t = time.time()
+        result = simulate(trace, config, phase_hook=(
+            _phase_recorder(phases) if traced else None))
+        if traced:
+            phases += [("trace_decode", decode_t, decoded_t),
+                       ("simulate", decoded_t, time.time())]
     data = result.to_dict()
     if cache_dir:
-        _atomic_write_json(Path(cache_dir) / f"{key}.json", data)
+        root = Path(cache_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        _atomic_write_json(root / f"{key}.json", data)
     return {
         "result": data,
         "worker": os.getpid(),
@@ -279,9 +269,9 @@ class ExperimentRunner:
         seed: Workload data seed.
         cache_dir: On-disk result cache ("" disables it; ``None`` uses
             ``$REPRO_BENCH_CACHE`` or the repo-local ``.bench_cache``).
-        jobs: Default worker count for :meth:`run_many` (``None``: 1).
-        task_timeout: Per-task wall-clock timeout (seconds) for parallel
-            batches; ``None``/0 (the default) disables it.
+        jobs: Worker processes for uncached cells (``None``: 1).
+        task_timeout: Per-cell wall-clock timeout (seconds); ``None``/0
+            (the default) disables it.
         retries: Extra attempts a failing cell gets before quarantine
             (``None``: 2).
         run_log: Path of a JSONL campaign run-log (see :mod:`repro.
@@ -301,18 +291,13 @@ class ExperimentRunner:
         trace_ctx: Parent :class:`SpanContext` for this runner's
             campaigns (a shard span, a serve job span); ``None`` makes
             each traced :meth:`run_many` open its own campaign root.
-        out_of_process: Run every uncached cell in a pool worker, even a
-            lone cell at ``jobs=1``.  The ``repro serve`` daemon sets it
-            so simulation leaves its interpreter (and GIL) and
-            ``task_timeout`` applies; everyone else keeps the in-process
-            path for serial batches.
 
-    The worker pool starts on the first batch that needs one, is sized
-    by that batch's ``jobs`` and is kept for later batches; it is
-    replaced only after a worker kill or a broken pool (or when a batch
-    asks for a different size).  :meth:`close` ends it.  A worker is a
-    fork of this process as of the pool's start: set ``REPRO_CHAOS``
-    and any monkeypatch before the first batch.
+    The worker pool starts on the first uncached cell and is kept for
+    later batches; it is replaced only after a worker kill or a broken
+    pool.  Whoever builds a runner that simulates closes it:
+    :meth:`close` ends the pool.  A worker is a fork of this process as
+    of the pool's start: set ``REPRO_CHAOS`` and any monkeypatch before
+    the first uncached cell.
     """
 
     def __init__(
@@ -329,7 +314,6 @@ class ExperimentRunner:
         metrics: Optional[MetricsRegistry] = None,
         spans: Union[None, str, SpanRecorder] = None,
         trace_ctx: Optional[SpanContext] = None,
-        out_of_process: bool = False,
     ):
         self.target_ops = target_ops
         self.seed = seed
@@ -337,8 +321,6 @@ class ExperimentRunner:
         self.task_timeout = task_timeout or None
         self.retries = 2 if retries is None else max(0, retries)
         self.cache_dir = cache_root(cache_dir)
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._memory: Dict[str, SimResult] = {}
         self.simulations_run = 0
         self.cache_hits = 0
@@ -375,12 +357,10 @@ class ExperimentRunner:
         #: stamps trace/span ids onto run-log lifecycle events.
         self._trace_parent: Optional[SpanContext] = trace_ctx
         self._campaign_t0 = time.perf_counter()
-        self.out_of_process = out_of_process
-        #: the persistent worker pool (a ``ProcessPoolExecutor``) and
-        #: its size; the lock guards the swap against a :meth:`close`
-        #: from another thread (the serve daemon's stop path)
+        #: the persistent worker pool (a ``ProcessPoolExecutor``); the
+        #: lock guards the swap against a :meth:`close` from another
+        #: thread (the serve daemon's stop path)
         self._pool = None
-        self._pool_size = 0
         self._pool_lock = threading.Lock()
         self._closed = False
 
@@ -607,20 +587,19 @@ class ExperimentRunner:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # parallel execution
+    # batch execution
     # ------------------------------------------------------------------
-    def run_many(self, tasks: Sequence[Task], jobs: Optional[int] = None,
+    def run_many(self, tasks: Sequence[Task],
                  trace: Optional[SpanContext] = None,
                  ) -> List[Union[SimResult, FailedResult]]:
         """Run (or fetch) a batch of simulations, results in task order.
 
         Each task is ``(workload, config)`` or ``(workload, config,
         seed)``.  Cached tuples are served immediately; the uncached
-        remainder is deduplicated and — with ``jobs > 1`` — fanned
-        across a ``ProcessPoolExecutor``.  Workers publish their results
-        through the (atomic) disk cache, so a parallel batch leaves the
-        cache in exactly the state a serial run would, and results are
-        byte-identical to serial execution.
+        remainder is deduplicated and run in the runner's worker pool.
+        Workers publish their results through the (atomic) disk cache,
+        so the cache ends in the same state and the results are
+        byte-identical whatever the worker count.
 
         A cell whose worker crashes, hangs past the runner's
         ``task_timeout`` or raises is retried up to ``retries`` times
@@ -632,11 +611,10 @@ class ExperimentRunner:
         ``KeyboardInterrupt`` aborts the batch but every already-finished
         cell stays merged in the cache.
 
-        ``jobs`` defaults to the runner's constructor value.  ``trace``
-        names the parent span context for this batch (overriding the
-        runner-level ``trace_ctx``): with a recorder attached, cell spans
-        parent directly under it; with neither, a traced batch opens its
-        own ``campaign`` root span.
+        ``trace`` names the parent span context for this batch
+        (overriding the runner-level ``trace_ctx``): with a recorder
+        attached, cell spans parent directly under it; with neither, a
+        traced batch opens its own ``campaign`` root span.
         """
         norm: List[Tuple[str, CoreConfig, int]] = []
         for task in tasks:
@@ -644,7 +622,6 @@ class ExperimentRunner:
             seed = task[2] if len(task) > 2 and task[2] is not None else self.seed
             norm.append((workload, config, seed))
         keys = [self.key_for(w, c, s) for w, c, s in norm]
-        jobs = self.jobs if jobs is None else max(1, jobs)
 
         recorder = self.spans
         previous_parent = self._trace_parent
@@ -684,19 +661,14 @@ class ExperimentRunner:
                                 hits=len(logged_hits),
                                 misses=len(pending))
 
-            parallel = bool(pending) and (
-                self.out_of_process or (jobs > 1 and len(pending) > 1))
             self._log("campaign_start", tasks=len(norm),
-                      pending=len(pending), jobs=jobs,
-                      mode="parallel" if parallel else "serial",
+                      pending=len(pending), jobs=self.jobs,
                       **self._campaign_trace())
             campaign_started = time.perf_counter()
             self._campaign_t0 = campaign_started
             sims_before, hits_before = self.simulations_run, self.cache_hits
-            if parallel:
-                self._run_parallel(pending, jobs)
-            elif pending:
-                self._run_serial(pending)
+            if pending:
+                self._run_pending(pending)
             self._log("campaign_end",
                       seconds=round(time.perf_counter() - campaign_started,
                                     6),
@@ -721,28 +693,14 @@ class ExperimentRunner:
             out.append(result if result is not None else self.quarantined[key])
         return out
 
-    def _finish(self, key: str, result: SimResult,
-                published: bool = False) -> None:
-        """Merge one fresh simulation: count it and cache it.
-
-        Both the serial and the parallel path land here, so the memory
-        and disk caches end up in the identical state either way.  A
-        pool worker has already written the disk entry (``published``),
-        so the parent keeps it in memory only."""
-        self.simulations_run += 1
-        self._memory[key] = result
-        if not published and self.cache_dir is not None:
-            _atomic_write_json(self.cache_dir / f"{key}.json",
-                               result.to_dict())
-
     def _record_cell(self, key: str, triple: Tuple[str, CoreConfig, int],
                      start_t: float, phases, **attrs) -> None:
         """Record a fresh cell's span and its steps as child spans.
 
-        ``phases`` are :func:`_simulate_cell`'s ``(name, start_t,
-        end_t)`` brackets, measured where the cell ran (this process or
-        a pool worker); the cell span runs from the cell's start to now.
-        A no-op unless the batch is traced."""
+        ``phases`` are the ``(name, start_t, end_t)`` brackets the
+        worker measured (see :func:`_run_task`); the cell span runs from
+        the worker's start to now, the parent's merge.  A no-op unless
+        the batch is traced."""
         parent = self._trace_parent
         if self.spans is None or parent is None:
             return
@@ -755,79 +713,23 @@ class ExperimentRunner:
             self.spans.record(name, parent=cell, start_t=step_start,
                               end_t=step_end)
 
-    def _run_serial(
-            self, pending: Dict[str, Tuple[str, CoreConfig, int]]) -> None:
-        """In-process fallback with the same retry/quarantine semantics.
-
-        Each cell runs on its own — :func:`_simulate_cell` →
-        :meth:`_finish` — so its span and run-log record carry its own
-        timing, with the same traced steps as a pool worker reports.
-
-        ``KeyboardInterrupt`` propagates immediately — every cell
-        finished before it is already merged into the cache by
-        :meth:`_finish`, so an interrupted campaign resumes where it
-        stopped."""
-        total = len(pending)
-        traced = self.spans is not None and self._trace_parent is not None
-        for done, (key, triple) in enumerate(pending.items()):
-            workload, config, seed = triple
-            attempt = 0
-            while True:
-                self._log("start", key=key, workload=workload,
-                          config=config.name, seed=seed, attempt=attempt,
-                          **self._cell_trace(key))
-                start_t = time.time()
-                started = time.perf_counter()
-                try:
-                    result, phases = _simulate_cell(
-                        workload, config, seed, self.target_ops, traced)
-                    self._finish(key, result)
-                    self._log("finish", key=key, workload=workload,
-                              config=config.name, seed=seed, attempt=attempt,
-                              seconds=round(time.perf_counter() - started, 6),
-                              worker=os.getpid(), **self._cell_trace(key))
-                    self._record_cell(key, triple, start_t, phases,
-                                      attempts=attempt + 1)
-                    break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    kind, error, snapshot = self._classify_failure(exc)
-                    attempt += 1
-                    if kind != "deadlock" and attempt <= self.retries:
-                        self.retries_performed += 1
-                        self._log("retry", key=key, attempt=attempt,
-                                  kind=kind, error=error,
-                                  **self._cell_trace(key))
-                        continue
-                    # the quarantine path records the cell's error span
-                    self._quarantine(key, triple, kind, error, attempt,
-                                     snapshot)
-                    break
-            self._heartbeat(done + 1, total, 0, total - done - 1)
-
     # ------------------------------------------------------------------
     # the worker pool
     # ------------------------------------------------------------------
-    def _pool_for(self, jobs: int):
+    def _live_pool(self):
         """The runner's worker pool, started on first use and then kept.
 
         Workers fork lazily, on the pool's first submit, from this
-        process as it is then.  A pool of another size is replaced."""
+        process as it is then."""
         from concurrent.futures import ProcessPoolExecutor
 
         with self._pool_lock:
             if self._closed:
                 raise RuntimeError("runner is closed: it starts no worker")
-            old = self._pool
-            if old is not None and self._pool_size == jobs:
-                return old
-            pool = ProcessPoolExecutor(max_workers=jobs,
-                                       initializer=_worker_init)
-            self._pool, self._pool_size = pool, jobs
-        if old is not None:
-            old.shutdown(wait=True)
-        return pool
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                                 initializer=_worker_init)
+            return self._pool
 
     def _kill_pool(self) -> None:
         """Kill every worker and reap it; the next batch starts a new pool.
@@ -863,8 +765,8 @@ class ExperimentRunner:
         passed in stays open for its owner.  Safe to call from another
         thread while a batch runs (the batch then fails with
         ``RuntimeError``) and more than once.  After it the runner
-        starts no worker and logs nothing; cache hits and in-process
-        serial batches still work."""
+        starts no worker and logs nothing: a closed runner serves cache
+        hits only."""
         with self._pool_lock:
             self._closed = True
         self._kill_pool()
@@ -877,21 +779,22 @@ class ExperimentRunner:
                 self.spans = None
             self._own_spans = None
 
-    def _run_parallel(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                      jobs: int) -> None:
-        """Fan ``pending`` over the worker pool, surviving worker failures.
+    def _run_pending(
+            self, pending: Dict[str, Tuple[str, CoreConfig, int]]) -> None:
+        """Run ``pending`` in the worker pool, surviving worker failures.
 
         Structure: a work queue of (key, attempt) plus an in-flight map
-        of future -> (key, deadline, attempt).  Completions merge
-        through :meth:`_finish`; failures either requeue (attempt+1) or
-        quarantine.  A hung task (deadline exceeded) or a broken pool
-        kills every worker, charges an attempt to the in-flight cells,
-        requeues them, and starts a new pool after an exponential
-        backoff.  With a timeout, at most ``jobs`` cells are in flight,
-        so each deadline starts when a worker takes the cell; without
-        one, ``2 * jobs`` keep the workers fed.  ``KeyboardInterrupt``
-        (or any other escape) kills the pool without waiting; the cache
-        keeps everything already merged.
+        of future -> (key, deadline, attempt).  A completion is counted
+        and kept in memory (its worker wrote the disk entry); failures
+        either requeue (attempt+1) or quarantine.  A hung task (deadline
+        exceeded) or a broken pool kills every worker, charges an
+        attempt to the in-flight cells, requeues them, and starts a new
+        pool after an exponential backoff.  With a timeout, at most
+        ``jobs`` cells are in flight, so each deadline starts when a
+        worker takes the cell; without one, ``2 * jobs`` keep the
+        workers fed.  ``KeyboardInterrupt`` (or any other escape) kills
+        the pool without waiting; the cache keeps everything already
+        merged.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -899,7 +802,7 @@ class ExperimentRunner:
         cache = str(self.cache_dir) if self.cache_dir is not None else ""
         traced = self.spans is not None and self._trace_parent is not None
         timeout, retries = self.task_timeout, self.retries
-        limit = jobs if timeout else 2 * jobs
+        limit = self.jobs if timeout else 2 * self.jobs
         queue: Deque[Tuple[str, int]] = deque(
             (key, 0) for key in pending
         )
@@ -938,7 +841,7 @@ class ExperimentRunner:
 
         try:
             while queue or inflight:
-                pool = self._pool_for(jobs)
+                pool = self._live_pool()
                 while queue and len(inflight) < limit:
                     key, attempt = queue.popleft()
                     workload, config, seed = pending[key]
@@ -966,9 +869,9 @@ class ExperimentRunner:
                         kind, error, snapshot = self._classify_failure(exc)
                         fail_or_requeue(key, attempt, kind, error, snapshot)
                     else:
-                        self._finish(key,
-                                     SimResult.from_dict(envelope["result"]),
-                                     published=True)
+                        self.simulations_run += 1
+                        self._memory[key] = SimResult.from_dict(
+                            envelope["result"])
                         workload, config, seed = pending[key]
                         self._log("finish", key=key, workload=workload,
                                   config=config.name, seed=seed,

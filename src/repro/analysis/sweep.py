@@ -8,6 +8,7 @@ studies and handy for ad-hoc research scripts.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
@@ -96,7 +97,6 @@ def sweep(
     config_builder: Callable[..., CoreConfig] = None,
     workloads: Sequence[str] = SUITE_NAMES,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
     sampling: Optional[Dict[str, int]] = None,
 ) -> SweepResult:
     """Run the cartesian product of ``axes`` over ``workloads``.
@@ -108,10 +108,11 @@ def sweep(
             :func:`~repro.core.config.config_for` (so an ``arch`` axis is
             expected, plus optional ``width`` / ``num_piqs`` / ...).
         workloads: kernels to run each configuration on.
-        runner: shared (cached) runner; a default one is created if absent.
-        jobs: worker processes for the uncached cells (``None``: the
-            runner's default; ``1``: serial).  Results are identical
-            either way — parallel workers merge through the disk cache.
+        runner: shared (cached) runner, whose ``jobs`` worker processes
+            run the uncached cells; a default one (one worker) is
+            created and closed if absent.  Results are identical
+            whatever the worker count: workers merge through the disk
+            cache.
         sampling: when given, every built config is wrapped with
             :func:`~repro.core.sampling.with_sampling` (keys: ``period``,
             ``window``, ``warmup``, ``ff_width``, ``ff_warmup_ops``) so
@@ -123,12 +124,13 @@ def sweep(
         result = sweep(
             {"arch": ["ballerino"], "num_piqs": [5, 7, 9, 11]},
             workloads=["dag_wide", "hash_probe"],
-            jobs=4,
         )
         result.geomean_ipc(num_piqs=11)
     """
+    if runner is None:
+        with contextlib.closing(ExperimentRunner()) as runner:
+            return sweep(axes, config_builder, workloads, runner, sampling)
     config_builder = config_builder if config_builder is not None else config_for
-    runner = runner if runner is not None else ExperimentRunner()
     names = list(axes)
     cells: List[tuple] = []
     for combo in itertools.product(*(axes[name] for name in names)):
@@ -139,8 +141,7 @@ def sweep(
         for workload in workloads:
             cells.append((params, workload, config))
     results = runner.run_many(
-        [(workload, config) for _, workload, config in cells], jobs=jobs
-    )
+        [(workload, config) for _, workload, config in cells])
     points = [
         SweepPoint(params=params, workload=workload, result=result)
         for (params, workload, _), result in zip(cells, results)

@@ -51,19 +51,19 @@ Commands:
 version so clients can check compatibility against ``GET /healthz``.
 
 All simulation commands honour ``--ops`` / ``--seed`` / ``--width`` /
-``--jobs`` and use the shared ``.bench_cache`` result cache
-(``--jobs N`` fans uncached simulations across N worker processes —
-results are identical to serial; see docs/performance.md).
-``--task-timeout`` / ``--retries`` tune the fault tolerance of batch
-runs: cells that crash, hang or raise are retried and eventually
-quarantined instead of sinking the campaign (batch commands then report
-partial results and exit non-zero; see docs/robustness.md).  Traced
-and metrics-instrumented runs bypass the cache (``compare`` also
-accepts ``--trace-out``).  ``--run-log FILE`` (or
-``$REPRO_RUN_LOG``) appends a structured JSONL campaign log —
-submit/start/finish/retry/timeout/quarantine events with durations and
-worker pids — and ``--progress`` prints a live heartbeat line to
-stderr during batch runs (docs/observability.md).
+``--jobs`` and use the shared ``.bench_cache`` result cache (every
+uncached simulation runs in a worker process; ``--jobs N`` runs N of
+them — results are identical whatever N; see docs/performance.md).
+``--task-timeout`` / ``--retries`` tune the fault tolerance of every
+simulated cell: cells that crash, hang or raise are retried and
+eventually quarantined instead of sinking the campaign (the command
+then reports partial results and exits non-zero; see
+docs/robustness.md).  Traced, profiled and metrics-instrumented runs
+simulate in-process and bypass the cache (``compare`` also accepts
+``--trace-out``).  ``--run-log FILE`` (or ``$REPRO_RUN_LOG``) appends a
+structured JSONL campaign log — submit/finish/retry/timeout/quarantine
+events with durations and worker pids — and ``--progress`` prints a
+live heartbeat line to stderr during batch runs (docs/observability.md).
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def _make_parser() -> argparse.ArgumentParser:
                              "(default: 1)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="S",
-                        help="wall-clock timeout per simulation in batch "
-                             "runs (default: none)")
+                        help="wall-clock timeout per simulated cell "
+                             "(default: none)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="retry budget per failing cell before "
                              "quarantine (default: 2)")
@@ -715,7 +715,7 @@ def _cmd_simulate(args) -> int:
         registry = core_metrics(pipe)
         _write_metrics_files(args, cfg, result, registry, notices)
         if args.prometheus:
-            from .telemetry import render_prometheus
+            from .telemetry.prometheus import render_prometheus
 
             labels = {"workload": args.workload, "config": cfg.name}
             print(render_prometheus(registry.snapshot(), labels=labels),

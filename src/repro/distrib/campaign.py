@@ -277,7 +277,7 @@ def run_shard(
                 cells=len(mine), salt=spec.salt)
     tasks = [cell.task(spec.seed) for _, cell in mine]
     try:
-        results = runner.run_many(tasks, jobs=jobs)
+        results = runner.run_many(tasks)
         failed = sum(1 for result in results if not result.ok)
         runner._log("shard_end", shard=shard, of=spec.n_shards,
                     completed=len(results) - failed, failed=failed)

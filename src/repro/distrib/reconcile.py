@@ -336,7 +336,6 @@ class RepairScheduler:
         self.cache_dir = cache_dir
         self.engine = engine or RepairEngine()
         self.detector = detector or Detector(spec, cache_dir=cache_dir)
-        self.jobs = jobs
         if runner_factory is None:
             runner_factory = lambda: make_runner(  # noqa: E731
                 spec, cache_dir=cache_dir, jobs=jobs)
@@ -431,7 +430,7 @@ class RepairScheduler:
                     runner._trace_parent = round_span.context
                 try:
                     runner.run_many([cell.task(self.spec.seed)
-                                     for cell in cells], jobs=self.jobs)
+                                     for cell in cells])
                 finally:
                     runner.run_log = old_log
                     if round_span is not None:

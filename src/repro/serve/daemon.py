@@ -89,7 +89,7 @@ class ServeDaemon:
             if self.spans is not None:
                 kwargs.setdefault("spans", self.spans)
             # each dispatch thread drives one worker process of its own
-            kwargs.update(jobs=1, out_of_process=True)
+            kwargs.update(jobs=1)
             runner_factory = lambda: ExperimentRunner(**kwargs)  # noqa: E731
         self.pool = WorkerPool(
             self.queue, runner_factory, workers=workers,

@@ -42,11 +42,6 @@ from .metrics import (
     series,
     write_samples_csv,
 )
-from .prometheus import (
-    escape_label_value,
-    lint_prometheus,
-    render_prometheus,
-)
 from .runlog import (EVENT_FIELDS, TRACE_FIELDS, RunLog, read_jsonl,
                      read_run_log, read_run_log_tolerant, validate_event)
 from .snapshot import capture_snapshot, describe_head, render_snapshot
@@ -104,9 +99,7 @@ __all__ = [
     "derive_span_id",
     "derive_trace_id",
     "describe_head",
-    "escape_label_value",
     "flatten_sample",
-    "lint_prometheus",
     "merge_span_files",
     "merge_spans",
     "new_span_id",
@@ -116,7 +109,6 @@ __all__ = [
     "read_run_log",
     "read_run_log_tolerant",
     "read_spans",
-    "render_prometheus",
     "render_snapshot",
     "render_top",
     "run_top",

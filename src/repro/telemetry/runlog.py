@@ -2,7 +2,7 @@
 
 The :class:`~repro.analysis.runner.ExperimentRunner` appends one JSON
 object per line to the run-log as a campaign executes: task lifecycle
-(``submit``/``start``/``cache_hit``/``finish``), failure handling
+(``submit``/``cache_hit``/``finish``), failure handling
 (``retry``/``timeout``/``quarantine``/``pool_restart``), campaign
 bracketing (``campaign_start``/``campaign_end``) and periodic
 ``heartbeat`` progress records.  Every record carries ``event``, a
@@ -24,9 +24,8 @@ from typing import Dict, List, Optional, Tuple
 
 #: event name -> required event-specific fields (beyond event/t/elapsed).
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "campaign_start": ("tasks", "pending", "jobs", "mode"),
+    "campaign_start": ("tasks", "pending", "jobs"),
     "submit": ("key", "workload", "config", "seed", "attempt"),
-    "start": ("key", "workload", "config", "seed", "attempt"),
     "cache_hit": ("key", "workload", "config", "seed"),
     "finish": ("key", "workload", "config", "seed", "attempt",
                "seconds", "worker"),

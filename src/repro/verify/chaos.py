@@ -309,8 +309,8 @@ def run_campaign(
     1. a clean **serial** baseline of every (workload, arch) cell;
     2. pre-seed the chaos result cache with a few baseline entries and
        corrupt them (truncated / garbage / zero-byte);
-    3. the **chaos** run: parallel ``run_many`` with the fault spec
-       exported to the workers;
+    3. the **chaos** run: ``run_many`` in ``jobs`` workers with the
+       fault spec exported to them;
     4. verdict: campaign completed, quarantine set == the deterministic
        persistent faults, all other cells byte-identical to baseline,
        every deadlock quarantine carries its pipeline snapshot.
@@ -337,9 +337,11 @@ def run_campaign(
         say(f"chaos: baseline — {len(tasks)} cells, serial")
         baseline = ExperimentRunner(
             target_ops=target_ops, seed=seed, cache_dir=str(root / "baseline"),
-            jobs=1,
         )
-        baseline_results = baseline.run_many(tasks, jobs=1)
+        try:
+            baseline_results = baseline.run_many(tasks)
+        finally:
+            baseline.close()
         expected = {
             baseline.key_for(w, c, seed):
                 json.dumps(r.to_dict(), sort_keys=True)
@@ -363,7 +365,7 @@ def run_campaign(
             jobs=jobs, task_timeout=timeout, retries=retries,
         )
         try:
-            results = runner.run_many(tasks, jobs=jobs)
+            results = runner.run_many(tasks)
         finally:
             runner.close()
         os.environ.pop(ENV_VAR, None)
@@ -554,9 +556,12 @@ def run_distributed(
 
         baseline = ExperimentRunner(
             target_ops=target_ops, seed=seed,
-            cache_dir=str(root / "baseline"), jobs=1)
+            cache_dir=str(root / "baseline"))
         tasks = [cell.task(seed) for cell in cells]
-        baseline_results = baseline.run_many(tasks, jobs=1)
+        try:
+            baseline_results = baseline.run_many(tasks)
+        finally:
+            baseline.close()
         expected = {
             baseline.key_for(w, c, s): json.dumps(r.to_dict(), sort_keys=True)
             for (w, c, s), r in zip(tasks, baseline_results)

@@ -73,11 +73,11 @@ def test_transient_faults_are_attempt_gated():
 
 def _run_with_fault(tmp_path, monkeypatch, fault, **runner_kw):
     tasks = _tasks("ooo")
-    clean = _runner(tmp_path, "clean").run_many(tasks, jobs=1)
-    chaotic = _runner(tmp_path, "chaotic", **runner_kw)
+    clean = _runner(tmp_path, "clean").run_many(tasks)
+    chaotic = _runner(tmp_path, "chaotic", jobs=2, **runner_kw)
     spec = _spec_hitting(chaotic, tasks, fault, index=1, **{fault: 0.4})
     monkeypatch.setenv(ENV_VAR, spec.encode())
-    results = chaotic.run_many(tasks, jobs=2)
+    results = chaotic.run_many(tasks)
     monkeypatch.delenv(ENV_VAR)
     return clean, chaotic, results
 
@@ -88,6 +88,21 @@ def test_transient_error_is_retried_to_identical_results(
     assert [_dumps(r) for r in results] == [_dumps(r) for r in clean]
     assert runner.retries_performed >= 1
     assert not runner.failures
+
+
+def test_one_worker_runner_retries_every_errored_cell(tmp_path, monkeypatch):
+    """Faults reach a ``jobs=1`` runner too: every cell of its batch
+    errs once, is retried once, and matches a clean run."""
+    tasks = _tasks("ooo")
+    clean = _runner(tmp_path, "clean").run_many(tasks)
+    runner = _runner(tmp_path, "chaotic")
+    monkeypatch.setenv(ENV_VAR, ChaosSpec(error=1.0, attempts=1).encode())
+    try:
+        results = runner.run_many(tasks)
+    finally:
+        runner.close()
+    assert runner.retries_performed == len(tasks)
+    assert [_dumps(r) for r in results] == [_dumps(r) for r in clean]
 
 
 def test_killed_worker_pool_is_respawned(tmp_path, monkeypatch):
@@ -107,10 +122,10 @@ def test_hung_worker_is_timed_out_and_requeued(tmp_path, monkeypatch):
 
 def test_poisoned_cell_is_quarantined(tmp_path, monkeypatch):
     tasks = _tasks("ooo")
-    runner = _runner(tmp_path, "poison", retries=2)
+    runner = _runner(tmp_path, "poison", retries=2, jobs=2)
     spec = _spec_hitting(runner, tasks, "poison", index=1, poison=0.4)
     monkeypatch.setenv(ENV_VAR, spec.encode())
-    results = runner.run_many(tasks, jobs=2)
+    results = runner.run_many(tasks)
 
     failed = results[1]
     assert isinstance(failed, FailedResult)
@@ -124,17 +139,17 @@ def test_poisoned_cell_is_quarantined(tmp_path, monkeypatch):
 
     # the quarantine record is served without re-running the cell
     before = runner.simulations_run
-    again = runner.run_many(tasks, jobs=1)
+    again = runner.run_many(tasks)
     assert again[1] is failed
     assert runner.simulations_run == before
 
 
 def test_forced_deadlock_quarantines_with_snapshot(tmp_path, monkeypatch):
     tasks = _tasks("ballerino")
-    runner = _runner(tmp_path, "wedge")
+    runner = _runner(tmp_path, "wedge", jobs=2)
     spec = _spec_hitting(runner, tasks, "wedge", index=0, wedge=0.4)
     monkeypatch.setenv(ENV_VAR, spec.encode())
-    results = runner.run_many(tasks, jobs=2)
+    results = runner.run_many(tasks)
 
     failed = results[0]
     assert not failed.ok
@@ -146,10 +161,10 @@ def test_forced_deadlock_quarantines_with_snapshot(tmp_path, monkeypatch):
 
 def test_failed_result_roundtrips_to_dict(tmp_path, monkeypatch):
     tasks = _tasks("ooo")
-    runner = _runner(tmp_path, "dict", retries=0)
+    runner = _runner(tmp_path, "dict", retries=0, jobs=2)
     spec = _spec_hitting(runner, tasks, "poison", index=2, poison=0.4)
     monkeypatch.setenv(ENV_VAR, spec.encode())
-    failed = runner.run_many(tasks, jobs=2)[2]
+    failed = runner.run_many(tasks)[2]
     record = json.loads(json.dumps(failed.to_dict()))
     assert record["ok"] is False
     assert record["kind"] == "error"

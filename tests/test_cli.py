@@ -90,6 +90,19 @@ class TestSimulate:
         assert "1 cell(s) quarantined" in captured.err
         assert "error after 2 attempt(s)" in captured.err
 
+    def test_simulate_times_out_its_lone_cell(self, cli, capsys,
+                                              monkeypatch):
+        """``--task-timeout`` reaches a one-cell run: a hung cell is
+        killed and quarantined as a timeout."""
+        from repro.verify.chaos import ENV_VAR, ChaosSpec
+
+        monkeypatch.setenv(ENV_VAR, ChaosSpec(hang=1.0).encode())
+        assert cli("--task-timeout", "1", "--retries", "0",
+                   "simulate", "histogram", "ooo") == 1
+        err = capsys.readouterr().err
+        assert "1 cell(s) quarantined" in err
+        assert "timeout after 1 attempt(s)" in err
+
     # A host-independent speed guard: the pipeline is built before the
     # profiler starts, so the count repeats exactly.  Each ceiling is
     # the current figure plus 3% (95.8, 105.0, 101.9, 94.6 and 98.0).

@@ -116,7 +116,7 @@ class TestMerge:
         serial = ExperimentRunner(target_ops=spec.ops, seed=spec.seed,
                                   cache_dir=str(tmp_path / "serial"))
         results = serial.run_many([cell.task(spec.seed)
-                                   for cell in spec.cells()], jobs=1)
+                                   for cell in spec.cells()])
         for envelope, result in zip(merged.envelopes, results):
             assert json.dumps(envelope["result"], sort_keys=True) == \
                 json.dumps(result.to_dict(), sort_keys=True)
@@ -311,6 +311,17 @@ class TestDetector:
         assert path.exists()
         assert path.read_text() == "{broken"
 
+    def test_probe_of_a_missing_cache_creates_nothing(self, tmp_path):
+        """The merge and the detector only read: pointed at a mistyped
+        cache directory, they leave no directory behind."""
+        camp, _ = paths(tmp_path)
+        spec = make_spec()
+        spec.save(camp)
+        typo = tmp_path / "cahce"
+        merge_shards(spec, camp, cache_dir=str(typo))
+        Detector(spec, cache_dir=str(typo)).diff(camp)
+        assert not typo.exists()
+
 
 # ---------------------------------------------------------------------------
 # repair engine
@@ -379,7 +390,7 @@ class TestReconcile:
         serial = ExperimentRunner(target_ops=spec.ops, seed=spec.seed,
                                   cache_dir=str(tmp_path / "serial"))
         results = serial.run_many([cell.task(spec.seed)
-                                   for cell in spec.cells()], jobs=1)
+                                   for cell in spec.cells()])
         for envelope, result in zip(merged.envelopes, results):
             assert json.dumps(envelope["result"], sort_keys=True) == \
                 json.dumps(result.to_dict(), sort_keys=True)
@@ -403,7 +414,7 @@ class TestReconcile:
         class NoOpRunner:
             run_log = None
 
-            def run_many(self, tasks, jobs=None):
+            def run_many(self, tasks):
                 return []
 
         scheduler = RepairScheduler(

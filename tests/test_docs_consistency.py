@@ -56,8 +56,13 @@ class TestCliAndConfigAgreement:
 class TestCliInvocationsInDocs:
     def test_every_repro_invocation_names_a_subcommand(self):
         """Each ``python -m repro ...`` in the README, docs/ and the
-        verify recipe runs a subcommand the parser has."""
+        verify recipe runs a subcommand the parser has, and parses
+        unless it shows a placeholder (``...``, ``[``, ``<...>`` or an
+        upper-case metavar such as ``N``)."""
         import argparse
+        import contextlib
+        import io
+        import shlex
 
         from repro.cli import _make_parser
 
@@ -73,11 +78,13 @@ class TestCliInvocationsInDocs:
         paths = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
                  *recipes]
         invocation = re.compile(r"python3? -m repro(?![\w.])([^\n`|#;&]*)")
-        named, unknown = [], []
+        placeholder = re.compile(r"\.\.\.|\[|(?<![\w$])[A-Z][A-Z_]*\b")
+        named, unknown, parsed, unparsed = [], [], 0, []
         for path in paths:
             # shell line continuations join one command
             text = re.sub(r"\\\n\s*", " ", path.read_text())
             for match in invocation.finditer(text):
+                where = f"{path.relative_to(REPO)}: {match.group(0).strip()}"
                 tokens = match.group(1).split()
                 index = 0
                 while index < len(tokens) and tokens[index].startswith("-"):
@@ -86,10 +93,22 @@ class TestCliInvocationsInDocs:
                     continue  # `--version`, the bare module, `<command>`
                 named.append(tokens[index])
                 if tokens[index] not in commands:
-                    unknown.append(f"{path.relative_to(REPO)}: "
-                                   f"{match.group(0).strip()}")
+                    unknown.append(where)
+                if re.search(r"<[^>]*>", match.group(1)):
+                    continue  # `<job-id>`
+                argv = match.group(1).split(">")[0]  # a redirection
+                if placeholder.search(argv):
+                    continue
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        parser.parse_args(shlex.split(argv))
+                    parsed += 1
+                except SystemExit:
+                    unparsed.append(where)
         assert len(named) > 50
         assert unknown == []
+        assert parsed > 50
+        assert unparsed == []
 
 
 class TestExamplesAreRunnableFiles:

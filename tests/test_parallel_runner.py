@@ -1,5 +1,6 @@
-"""Parallel execution must be byte-identical to serial, and the result
-cache must survive corruption and concurrent writers."""
+"""Runner results must be byte-identical to an in-process ``simulate``
+whatever the worker count, and the result cache must survive corruption
+and concurrent writers."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import sweep
 from repro.core.config import config_for
+from repro.core.pipeline import simulate
 from repro.workloads import build_trace
 from repro.workloads.suite import get_trace
 
@@ -29,9 +31,13 @@ def _dumps(result):
 
 def test_run_many_parallel_matches_serial(tmp_path):
     tasks = [(w, config_for(a)) for w in WORKLOADS for a in ARCHES]
-    serial = _runner(tmp_path, "serial").run_many(tasks, jobs=1)
-    parallel = _runner(tmp_path, "parallel").run_many(tasks, jobs=4)
-    assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
+    # the independent reference: each cell simulated in this process
+    reference = [simulate(get_trace(w, OPS, 7), config)
+                 for w, config in tasks]
+    serial = _runner(tmp_path, "serial").run_many(tasks)
+    parallel = _runner(tmp_path, "parallel", jobs=4).run_many(tasks)
+    assert [_dumps(r) for r in serial] == [_dumps(r) for r in reference]
+    assert [_dumps(r) for r in parallel] == [_dumps(r) for r in reference]
 
 
 def test_run_many_dedupes_and_orders(tmp_path):
@@ -40,7 +46,6 @@ def test_run_many_dedupes_and_orders(tmp_path):
     results = runner.run_many(
         [("histogram", config), ("stream_triad", config),
          ("histogram", config)],
-        jobs=1,
     )
     assert runner.simulations_run == 2  # duplicate simulated once
     assert _dumps(results[0]) == _dumps(results[2])
@@ -49,10 +54,10 @@ def test_run_many_dedupes_and_orders(tmp_path):
 
 def test_run_many_serves_from_cache(tmp_path):
     tasks = [(w, config_for("ballerino")) for w in WORKLOADS]
-    first = _runner(tmp_path, "shared")
-    first.run_many(tasks, jobs=2)
-    second = _runner(tmp_path, "shared")
-    second.run_many(tasks, jobs=2)
+    first = _runner(tmp_path, "shared", jobs=2)
+    first.run_many(tasks)
+    second = _runner(tmp_path, "shared", jobs=2)
+    second.run_many(tasks)
     assert second.simulations_run == 0
     assert second.cache_hits == len(tasks)
 
@@ -73,7 +78,7 @@ def test_runner_jobs_parallel_parity(tmp_path):
         runner.close()
     start = read_run_log(str(tmp_path / "run.jsonl"),
                          event="campaign_start")[0]
-    assert start["mode"] == "parallel" and start["jobs"] == 3
+    assert start["jobs"] == 3
     assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
 
 
@@ -81,7 +86,7 @@ def test_run_seeds_parallel(tmp_path):
     config = config_for("ooo")
     tasks = [("histogram", config, seed) for seed in (1, 2, 3)]
     serial = _runner(tmp_path, "s").run_many(tasks)
-    parallel = _runner(tmp_path, "p").run_many(tasks, jobs=3)
+    parallel = _runner(tmp_path, "p", jobs=3).run_many(tasks)
     assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]
     assert len({_dumps(r) for r in serial}) == 3  # seeds actually differ
 
@@ -91,7 +96,7 @@ def test_sweep_jobs_parity(tmp_path):
     serial = sweep(axes, workloads=("histogram",),
                    runner=_runner(tmp_path, "s"))
     parallel = sweep(axes, workloads=("histogram",),
-                     runner=_runner(tmp_path, "p"), jobs=2)
+                     runner=_runner(tmp_path, "p", jobs=2))
     assert [(p.params, p.workload, _dumps(p.result)) for p in serial.points] \
         == [(p.params, p.workload, _dumps(p.result)) for p in parallel.points]
 
@@ -178,10 +183,10 @@ def test_keyboard_interrupt_keeps_partial_results(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "simulate", flaky)
     with pytest.raises(KeyboardInterrupt):
-        _runner(tmp_path, "interrupt").run_many(tasks, jobs=1)
+        _runner(tmp_path, "interrupt").run_many(tasks)
     monkeypatch.setattr(runner_mod, "simulate", real)
     resumed = _runner(tmp_path, "interrupt")
-    resumed.run_many(tasks, jobs=1)
+    resumed.run_many(tasks)
     assert resumed.cache_hits == 1  # cell finished before ^C was kept
     assert resumed.simulations_run == len(tasks) - 1
 
@@ -264,10 +269,8 @@ def test_close_leaves_no_thread_or_worker_behind(tmp_path):
 
 
 def test_no_leftover_tmp_files(tmp_path):
-    runner = _runner(tmp_path, "atomic")
-    runner.run_many(
-        [(w, config_for("ooo")) for w in WORKLOADS], jobs=2
-    )
+    runner = _runner(tmp_path, "atomic", jobs=2)
+    runner.run_many([(w, config_for("ooo")) for w in WORKLOADS])
     assert not list(runner.cache_dir.glob("*.tmp"))
 
 
@@ -289,11 +292,11 @@ def test_get_trace_neither_reads_nor_writes_trace_files(tmp_path,
         "histogram", target_ops=OPS, seed=7)
     tasks = [(w, config_for(a)) for w in ("histogram", "stream_triad")
              for a in ("ooo", "ballerino")]
-    serial = _runner(tmp_path, "serial").run_many(tasks, jobs=1)
+    serial = _runner(tmp_path, "serial").run_many(tasks)
     get_trace.cache_clear()  # the pool's workers must get_trace too
-    runner = _runner(tmp_path, "parallel")
+    runner = _runner(tmp_path, "parallel", jobs=2)
     try:
-        parallel = runner.run_many(tasks, jobs=2)
+        parallel = runner.run_many(tasks)
     finally:
         runner.close()
     assert [_dumps(r) for r in serial] == [_dumps(r) for r in parallel]

@@ -1,6 +1,7 @@
 """Campaign run-log: event schema, lifecycle pairing, fault events."""
 
 import json
+import os
 
 import pytest
 
@@ -97,16 +98,16 @@ class TestCampaignEvents:
         runner = _runner(tmp_path, "serial")
         tasks = [(w, config_for("ooo"))
                  for w in ("histogram", "stream_triad")]
-        runner.run_many(tasks, jobs=1)
+        runner.run_many(tasks)
         assert len(_events(runner, "campaign_start")) == 1
-        assert _events(runner, "campaign_start")[0]["mode"] == "serial"
-        starts = _events(runner, "start")
+        assert _events(runner, "campaign_start")[0]["jobs"] == 1
+        submits = _events(runner, "submit")
         finishes = _events(runner, "finish")
-        assert len(starts) == len(finishes) == len(tasks)
-        assert {s["key"] for s in starts} == {f["key"] for f in finishes}
+        assert len(submits) == len(finishes) == len(tasks)
+        assert {s["key"] for s in submits} == {f["key"] for f in finishes}
         for record in finishes:
             assert record["seconds"] > 0
-            assert record["worker"] > 0
+            assert record["worker"] not in (0, os.getpid())
         end = _events(runner, "campaign_end")[0]
         assert end["simulations"] == len(tasks)
         assert end["quarantined"] == 0
@@ -114,11 +115,11 @@ class TestCampaignEvents:
             validate_event(record)  # every line satisfies the schema
 
     def test_parallel_campaign_submits_and_finishes(self, tmp_path):
-        runner = _runner(tmp_path, "parallel")
+        runner = _runner(tmp_path, "parallel", jobs=2)
         tasks = [(w, config_for("ooo"))
                  for w in ("histogram", "stream_triad", "dotprod")]
-        runner.run_many(tasks, jobs=2)
-        assert _events(runner, "campaign_start")[0]["mode"] == "parallel"
+        runner.run_many(tasks)
+        assert _events(runner, "campaign_start")[0]["jobs"] == 2
         submits = _events(runner, "submit")
         finishes = _events(runner, "finish")
         assert len(submits) == len(finishes) == len(tasks)
@@ -128,20 +129,20 @@ class TestCampaignEvents:
 
     def test_cached_rerun_logs_cache_hits_only(self, tmp_path):
         tasks = [("histogram", config_for("ooo"))]
-        _runner(tmp_path, "warm").run_many(tasks, jobs=1)
+        _runner(tmp_path, "warm").run_many(tasks)
         again = _runner(tmp_path, "warm")
-        again.run_many(tasks, jobs=1)
+        again.run_many(tasks)
         own = [r for r in _events(again)]
         # both campaigns share the log file; the second adds exactly one
-        # cache_hit and no new start/finish
+        # cache_hit and no new submit/finish
         assert len([r for r in own if r["event"] == "cache_hit"]) == 1
-        assert len([r for r in own if r["event"] == "start"]) == 1
+        assert len([r for r in own if r["event"] == "submit"]) == 1
         assert len([r for r in own if r["event"] == "finish"]) == 1
 
     def test_single_run_logs_start_finish(self, tmp_path):
         runner = _runner(tmp_path, "single")
         runner.run("histogram", config_for("ooo"))
-        assert len(_events(runner, "start")) == 1
+        assert len(_events(runner, "submit")) == 1
         assert len(_events(runner, "finish")) == 1
         runner.run("histogram", config_for("ooo"))  # now cached
         assert len(_events(runner, "cache_hit")) == 1
@@ -152,7 +153,7 @@ class TestCampaignEvents:
         runner.progress = lines.append
         tasks = [(w, config_for("ooo"))
                  for w in ("histogram", "stream_triad")]
-        runner.run_many(tasks, jobs=1)
+        runner.run_many(tasks)
         beats = _events(runner, "heartbeat")
         assert beats
         assert beats[-1]["done"] == len(tasks)
@@ -166,7 +167,7 @@ class TestCampaignEvents:
 
         monkeypatch.setattr(runner_mod, "simulate", explode)
         runner = _runner(tmp_path, "fail", retries=2)
-        results = runner.run_many([("histogram", config_for("ooo"))], jobs=1)
+        results = runner.run_many([("histogram", config_for("ooo"))])
         assert not results[0].ok
         retries = _events(runner, "retry")
         assert len(retries) == 2

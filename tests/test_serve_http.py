@@ -54,7 +54,7 @@ def serial_payloads(tmp_path, matrix=MATRIX):
                               cache_dir=str(tmp_path / "serial-cache"))
     tasks = [cell.task(runner.seed) for cell in expand_matrix(matrix)]
     return [json.dumps(r.to_dict(), sort_keys=True)
-            for r in runner.run_many(tasks, jobs=1)]
+            for r in runner.run_many(tasks)]
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,12 @@ class TestRunnerTracing:
         plain = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "plain"), run_log="")
         expected = [json.dumps(r.to_dict(), sort_keys=True)
-                    for r in plain.run_many(_tasks(), jobs=1)]
+                    for r in plain.run_many(_tasks())]
         traced = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "traced"), run_log="",
             spans=str(tmp_path / "spans.jsonl"))
         got = [json.dumps(r.to_dict(), sort_keys=True)
-               for r in traced.run_many(_tasks(), jobs=1)]
+               for r in traced.run_many(_tasks())]
         assert got == expected
         assert read_spans(str(tmp_path / "spans.jsonl"))
 
@@ -138,7 +138,7 @@ class TestRunnerTracing:
         runner = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "cache"), run_log="",
             spans=str(tmp_path / "spans.jsonl"))
-        runner.run_many(_tasks(), jobs=1)
+        runner.run_many(_tasks())
         spans = read_spans(str(tmp_path / "spans.jsonl"))
         tree = span_tree(spans)
         roots = tree[None]
@@ -149,14 +149,18 @@ class TestRunnerTracing:
         for cell in cells:
             assert cell.parent_id == campaign.span_id
         # each cell is timed on its own: its own decode and simulate
-        # children, and a wall-clock bracket no other cell shares
+        # children, and a simulate bracket no other cell shares (a cell
+        # span ends at the parent's merge, which can come after the
+        # lone worker has taken the next cell)
         children = collections.defaultdict(list)
         for span in spans:
-            children[span.parent_id].append(span.name)
+            children[span.parent_id].append(span)
         for cell in cells:
-            assert sorted(children[cell.span_id]) == [
+            assert sorted(s.name for s in children[cell.span_id]) == [
                 "simulate", "trace_decode"]
-        first, second = sorted(cells, key=lambda s: s.start_t)
+        first, second = sorted(
+            (s for s in spans if s.name == "simulate"),
+            key=lambda s: s.start_t)
         assert first.end_t <= second.start_t
 
     def test_parallel_cells_keep_their_worker_side_steps(self, tmp_path):
@@ -186,7 +190,7 @@ class TestRunnerTracing:
         runner = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "cache"),
             run_log=str(tmp_path / "run.jsonl"), trace_ctx=parent)
-        runner.run_many(_tasks(), jobs=1)
+        runner.run_many(_tasks())
         runner.run_log.close()
         finishes = read_run_log(str(tmp_path / "run.jsonl"), event="finish")
         assert finishes
@@ -197,7 +201,7 @@ class TestRunnerTracing:
     def test_spans_off_writes_nothing(self, tmp_path):
         runner = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "cache"), run_log="")
-        runner.run_many(_tasks(), jobs=1)
+        runner.run_many(_tasks())
         assert runner.spans is None
         assert not list(tmp_path.glob("*.jsonl"))
 

@@ -112,7 +112,7 @@ class TestRenderTop:
     def _model(self):
         model = TopModel()
         model.feed_records([
-            _event("campaign_start", tasks=4, mode="parallel"),
+            _event("campaign_start", tasks=4),
             _event("heartbeat", t=2.0, done=2, total=4, inflight=1,
                    queued=1, elapsed_s=1.0, sims_per_sec=2.0, eta_s=1.0),
             _event("finish", t=2.0, worker=1, seconds=0.5),
