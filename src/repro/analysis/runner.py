@@ -18,7 +18,7 @@ of the simulator's own source (:func:`model_digest`).  Cache entries are
 written atomically (``*.tmp`` + ``os.replace``) so concurrent workers
 can never expose a torn file, and :meth:`ExperimentRunner.read_entry` is
 the one reader of an entry: a corrupt, truncated, zero-byte, unreadable
-or stale one is treated as a miss (and counted on
+or field-stripped one is treated as a miss (and counted on
 :attr:`ExperimentRunner.cache_warnings`), never a crash.
 
 Campaign fault tolerance (see docs/robustness.md): ``run_many`` submits
@@ -73,6 +73,8 @@ DEFAULT_SEED = 7
 BACKOFF_BASE = 0.1
 #: How often the batch loop polls for completions/timeouts (seconds).
 _POLL_INTERVAL = 0.1
+#: Minimum seconds between two heartbeats of one runner.
+HEARTBEAT_INTERVAL = 2.0
 
 #: One run request: (workload, config) or (workload, config, seed).
 Task = Union[
@@ -106,9 +108,9 @@ def model_digest() -> str:
 class CacheEntry(NamedTuple):
     """One disk-cache entry as :meth:`ExperimentRunner.read_entry` found it.
 
-    ``kind`` is ``absent``, ``ok``, ``corrupt`` or ``stale-schema``;
-    ``detail`` says what is wrong with a bad entry, and ``result`` is
-    set only when the entry is ``ok``.
+    ``kind`` is ``absent``, ``ok`` or ``corrupt``; ``detail`` says what
+    is wrong with a corrupt entry, and ``result`` is set only when the
+    entry is ``ok``.
     """
 
     kind: str
@@ -235,7 +237,7 @@ def _run_task(payload) -> Dict:
         from ..verify import chaos
 
         result = chaos.worker_fault(workload, config, seed, target_ops,
-                                    key, attempt)
+                                    attempt)
     else:
         result = None
     if result is None:
@@ -278,8 +280,8 @@ class ExperimentRunner:
             telemetry.runlog`); ``None`` uses ``$REPRO_RUN_LOG``, ""
             disables it.
         progress: Callable fed one-line heartbeat strings while a batch
-            executes (e.g. ``print``); ``None`` disables the heartbeat.
-        heartbeat_interval: Minimum seconds between heartbeats.
+            executes (e.g. ``print``), at most one per
+            :data:`HEARTBEAT_INTERVAL`; ``None`` disables the heartbeat.
         metrics: Optional :class:`~repro.telemetry.metrics.
             MetricsRegistry` fed campaign health counters (currently
             ``runner.cache_warnings``) so long-lived hosts — the
@@ -288,9 +290,7 @@ class ExperimentRunner:
             :class:`SpanRecorder`, a spans-JSONL path, "" to disable,
             or ``None`` to read ``$REPRO_SPANS``.  Off by default;
             like the tracer, every hook is a nullable-reference check.
-        trace_ctx: Parent :class:`SpanContext` for this runner's
-            campaigns (a shard span, a serve job span); ``None`` makes
-            each traced :meth:`run_many` open its own campaign root.
+            :meth:`run_many`'s ``trace`` parents a batch's spans.
 
     The worker pool starts on the first uncached cell and is kept for
     later batches; it is replaced only after a worker kill or a broken
@@ -310,10 +310,8 @@ class ExperimentRunner:
         retries: Optional[int] = None,
         run_log: Optional[str] = None,
         progress=None,
-        heartbeat_interval: float = 2.0,
         metrics: Optional[MetricsRegistry] = None,
         spans: Union[None, str, SpanRecorder] = None,
-        trace_ctx: Optional[SpanContext] = None,
     ):
         self.target_ops = target_ops
         self.seed = seed
@@ -339,7 +337,6 @@ class ExperimentRunner:
             run_log = os.environ.get("REPRO_RUN_LOG", "")
         self.run_log: Optional[RunLog] = RunLog(run_log) if run_log else None
         self.progress = progress
-        self.heartbeat_interval = heartbeat_interval
         self._last_heartbeat = 0.0
         self.metrics = metrics
         if spans is None:
@@ -351,11 +348,10 @@ class ExperimentRunner:
         else:
             self.spans = self._own_spans = (SpanRecorder(spans) if spans
                                             else None)
-        self.trace_ctx = trace_ctx
-        #: parent context of the campaign currently executing (the
-        #: campaign root span, a shard span or a serve job span);
-        #: stamps trace/span ids onto run-log lifecycle events.
-        self._trace_parent: Optional[SpanContext] = trace_ctx
+        #: parent context of the batch currently executing (its
+        #: ``trace``, or the campaign root span it opened); stamps
+        #: trace/span ids onto run-log lifecycle events.
+        self._trace_parent: Optional[SpanContext] = None
         self._campaign_t0 = time.perf_counter()
         #: the persistent worker pool (a ``ProcessPoolExecutor``); the
         #: lock guards the swap against a :meth:`close` from another
@@ -395,12 +391,12 @@ class ExperimentRunner:
         return {"trace_id": parent.trace_id, "span_id": parent.span_id}
 
     def _heartbeat(self, done: int, total: int, inflight: int,
-                   queued: int, force: bool = False) -> None:
+                   queued: int) -> None:
         """Emit a progress line + run-log record, rate-limited."""
         if self.progress is None and self.run_log is None:
             return
         now = time.monotonic()
-        if not force and now - self._last_heartbeat < self.heartbeat_interval:
+        if now - self._last_heartbeat < HEARTBEAT_INTERVAL:
             return
         self._last_heartbeat = now
         elapsed = max(time.perf_counter() - self._campaign_t0, 1e-9)
@@ -473,11 +469,12 @@ class ExperimentRunner:
 
         The one reader of cache entries: the runner serves an ``ok``
         entry, and the reconciliation detector reports the same verdict
-        for every cell.  A bad entry is ``stale-schema`` when fields are
-        missing, and otherwise ``corrupt``: ``unreadable`` (permissions,
-        IO errors), ``binary-garbage``, ``zero-byte``, ``invalid-json``,
-        ``not-an-object``, ``misfiled`` (its payload names another
-        workload) or ``undeserialisable``.
+        for every cell.  A bad entry is ``corrupt``: ``unreadable``
+        (permissions, IO errors), ``binary-garbage``, ``zero-byte``,
+        ``invalid-json``, ``not-an-object``, ``missing fields: …`` (the
+        key hashes the model's code, so only damage strips fields from
+        an entry found under it), ``misfiled`` (its payload names
+        another workload) or ``undeserialisable``.
         """
         path = self.cache_path(key)
         if path is None:
@@ -500,7 +497,7 @@ class ExperimentRunner:
             return CacheEntry("corrupt", "not-an-object")
         missing = [name for name in _RESULT_FIELDS if name not in data]
         if missing:
-            return CacheEntry("stale-schema",
+            return CacheEntry("corrupt",
                               f"missing fields: {', '.join(missing)}")
         if data["workload"] != workload:
             return CacheEntry("corrupt", "misfiled: payload claims workload "
@@ -611,10 +608,11 @@ class ExperimentRunner:
         ``KeyboardInterrupt`` aborts the batch but every already-finished
         cell stays merged in the cache.
 
-        ``trace`` names the parent span context for this batch
-        (overriding the runner-level ``trace_ctx``): with a recorder
-        attached, cell spans parent directly under it; with neither, a
-        traced batch opens its own ``campaign`` root span.
+        ``trace`` names the parent span context of this batch (a shard
+        span, a reconcile round, a serve job): its cells' run-log
+        records carry its ids, and with a recorder attached their spans
+        parent directly under it.  A recorded batch without ``trace``
+        opens its own ``campaign`` root span.
         """
         norm: List[Tuple[str, CoreConfig, int]] = []
         for task in tasks:
@@ -624,8 +622,7 @@ class ExperimentRunner:
         keys = [self.key_for(w, c, s) for w, c, s in norm]
 
         recorder = self.spans
-        previous_parent = self._trace_parent
-        parent = trace if trace is not None else self.trace_ctx
+        parent = trace
         campaign_span = None
         if recorder is not None and parent is None:
             campaign_span = recorder.start("campaign", tasks=len(norm))
@@ -685,7 +682,7 @@ class ExperimentRunner:
                     cache_hits=self.cache_hits - hits_before,
                     quarantined=len(self.quarantined))
         finally:
-            self._trace_parent = previous_parent
+            self._trace_parent = None
 
         out: List[Union[SimResult, FailedResult]] = []
         for key in keys:

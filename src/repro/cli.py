@@ -35,9 +35,11 @@ Commands:
   docs/robustness.md.
 * ``reconcile`` — audit a campaign three ways (expected matrix vs disk
   cache vs run-logs), classify every cell (ok / missing / quarantined /
-  orphaned / corrupt / stale-schema) and repair it to convergence under
-  a bounded per-cell budget; ``--check`` detects without repairing
-  (docs/robustness.md).
+  orphaned / corrupt) and re-run the damaged ones to convergence under
+  a bounded per-cell budget, one runner per round (``--jobs``,
+  ``--task-timeout`` and ``--retries`` apply); ``--check`` detects
+  without repairing (docs/robustness.md).  ``campaign`` and
+  ``reconcile`` refuse ``--no-cache``: they merge through the cache.
 * ``serve`` — the simulation-as-a-service daemon: a REST API over a
   durable job queue (priority lanes, per-tenant rate limits,
   backpressure) and a worker pool that drives jobs through the
@@ -466,11 +468,6 @@ def _make_parser() -> argparse.ArgumentParser:
                                metavar="N",
                                help="repair attempts per damaged cell "
                                     "(default 2)")
-    reconcile_cmd.add_argument("--server", default=None, metavar="URL",
-                               help="execute repairs via this running "
-                                    "`repro serve` daemon (it must "
-                                    "share the cache) instead of "
-                                    "locally")
     reconcile_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
                                help="the campaign's shared result cache "
                                     "(default: the global cache)")
@@ -479,7 +476,7 @@ def _make_parser() -> argparse.ArgumentParser:
                                     "reconcile report here")
     reconcile_cmd.add_argument("--jobs", type=int,
                                default=argparse.SUPPRESS,
-                               help="worker processes for local repairs")
+                               help="worker processes for repairs")
     reconcile_cmd.add_argument("--spans", action="store_true",
                                help="record reconcile-round and repair "
                                     "spans into the campaign's trace")
@@ -1306,12 +1303,23 @@ def _campaign_spec(args):
     return spec, shard
 
 
+def _no_campaign_cache(args) -> bool:
+    """Whether the result cache is disabled (``--no-cache``; then said
+    on stderr).  A campaign's shards, its merge and reconcile meet only
+    in that cache, so without it they would audit and repair nothing."""
+    if not args.no_cache and cache_root(args.cache_dir) is not None:
+        return False
+    print(f"repro {args.command}: the result cache is disabled, and a "
+          f"campaign's shards merge through it", file=sys.stderr)
+    return True
+
+
 def _missing_cache(cache: Optional[str]) -> bool:
     """Whether the cache a read-only command reads is missing (then said
     on stderr).  Such a command creates nothing, and a mistyped
     directory would only show every cell missing."""
     root = cache_root(cache)
-    if root is None or root.is_dir():
+    if root.is_dir():
         return False
     print(f"cache directory {root} does not exist", file=sys.stderr)
     return True
@@ -1327,7 +1335,9 @@ def _cmd_campaign(args) -> int:
             print(f"unknown arch: {arch}", file=sys.stderr)
             return 2
     spec, shard = _campaign_spec(args)
-    cache = "" if args.no_cache else args.cache_dir
+    cache = args.cache_dir
+    if (shard is not None or args.merge) and _no_campaign_cache(args):
+        return 2
     if shard is not None:
         progress = print if args.progress else None
         results = run_shard(
@@ -1363,12 +1373,14 @@ def _cmd_reconcile(args) -> int:
 
     from .distrib import Detector, load_manifest, reconcile_campaign
 
+    if _no_campaign_cache(args):
+        return 2
     try:
         spec = load_manifest(args.campaign_dir)
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    cache = "" if args.no_cache else args.cache_dir
+    cache = args.cache_dir
     if args.check:
         if _missing_cache(cache):
             return 2
@@ -1386,8 +1398,9 @@ def _cmd_reconcile(args) -> int:
     report = reconcile_campaign(
         args.campaign_dir, spec=spec, cache_dir=cache,
         max_rounds=args.max_rounds, cell_budget=args.budget,
-        server=args.server, jobs=args.jobs,
-        progress=print if args.progress else None, spans=args.spans)
+        jobs=args.jobs, task_timeout=args.task_timeout,
+        retries=args.retries, progress=print if args.progress else None,
+        spans=args.spans)
     print(report.summary())
     if args.out:
         path = Path(args.out).resolve()

@@ -16,10 +16,9 @@ Two layers (see docs/robustness.md):
   (submission-order) results.
 * :mod:`repro.distrib.reconcile` — a *detector* three-way-diffs the
   expected matrix against the disk cache and the merged run-logs,
-  classifying every cell; an *engine* turns the diff into a typed
-  repair plan under bounded budgets; and a *scheduler* executes the
-  repairs (locally through ``run_many`` or by submission to a running
-  ``repro serve`` daemon) and re-verifies until the matrix converges.
+  classifying every cell; ``reconcile_campaign`` re-runs the damaged
+  cells that still have budget through one fault-tolerant runner per
+  round and re-verifies until the matrix converges.
 """
 
 from .campaign import (  # noqa: F401
@@ -43,10 +42,6 @@ from .reconcile import (  # noqa: F401
     CellStatus,
     Detector,
     ReconcileReport,
-    Repair,
-    RepairEngine,
-    RepairPlan,
-    RepairScheduler,
     reconcile_campaign,
 )
 
@@ -69,9 +64,5 @@ __all__ = [
     "CellStatus",
     "Detector",
     "ReconcileReport",
-    "Repair",
-    "RepairEngine",
-    "RepairPlan",
-    "RepairScheduler",
     "reconcile_campaign",
 ]

@@ -216,8 +216,8 @@ def make_runner(spec: CampaignSpec, cache_dir: Optional[str] = None,
     """An :class:`ExperimentRunner` wired for this campaign.
 
     ``run_log=""`` (the default) disables logging — shard runs pass
-    their shard-log path instead; the reconcile scheduler passes its
-    own.  Everything else (jobs, timeouts, retries) flows through.
+    their shard-log path instead, reconcile rounds ``reconcile.jsonl``.
+    Everything else (jobs, timeouts, retries, spans) flows through.
     """
     return ExperimentRunner(
         target_ops=spec.ops, seed=spec.seed, cache_dir=cache_dir,
@@ -258,7 +258,7 @@ def run_shard(
     log_path = shard_log_path(campaign_dir, shard, spec.n_shards)
     recorder: Optional[SpanRecorder] = None
     shard_span: Optional[Span] = None
-    trace_ctx: Optional[SpanContext] = None
+    trace: Optional[SpanContext] = None
     if spans:
         recorder = SpanRecorder(
             str(shard_spans_path(campaign_dir, shard, spec.n_shards)))
@@ -267,17 +267,17 @@ def run_shard(
             "shard", parent=root,
             span_id=derive_span_id(root.trace_id, "shard", shard),
             shard=shard, of=spec.n_shards, salt=spec.salt)
-        trace_ctx = shard_span.context
+        trace = shard_span.context
     runner = make_runner(
         spec, cache_dir=cache_dir, run_log=str(log_path), jobs=jobs,
         task_timeout=task_timeout, retries=retries, progress=progress,
-        spans=recorder, trace_ctx=trace_ctx)
+        spans=recorder)
     mine = spec.shards()[shard]
     runner._log("shard_start", shard=shard, of=spec.n_shards,
                 cells=len(mine), salt=spec.salt)
     tasks = [cell.task(spec.seed) for _, cell in mine]
     try:
-        results = runner.run_many(tasks)
+        results = runner.run_many(tasks, trace=trace)
         failed = sum(1 for result in results if not result.ok)
         runner._log("shard_end", shard=shard, of=spec.n_shards,
                     completed=len(results) - failed, failed=failed)

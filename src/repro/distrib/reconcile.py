@@ -1,7 +1,6 @@
 """Reconciliation: prove a campaign complete and correct, or repair it.
 
-Three stages, mirroring the classic detector / engine / scheduler
-split:
+Two stages:
 
 * the **detector** three-way-diffs the *expected matrix* (from the
   campaign manifest) against the *disk cache* (through the runner's
@@ -11,22 +10,23 @@ split:
   them), classifying every cell into one of :data:`CELL_STATES`.  The
   campaign merge (:func:`~repro.distrib.campaign.merge_shards`) reads
   the same verdicts;
-* the **engine** turns the diff into a typed repair plan — which cache
-  entries to purge, which cells to re-run — under a bounded per-cell
-  retry budget, so a cell that keeps failing cannot spin the loop
-  forever;
-* the **scheduler** executes the plan (a fresh fault-tolerant
-  :class:`~repro.analysis.runner.ExperimentRunner` per round, so
-  quarantine state from earlier lives doesn't pin a now-healthy cell;
-  or submission to a running ``repro serve`` daemon that shares the
-  cache) and re-runs the detector until the matrix converges or the
-  budget is exhausted.
+* the **repair loop** (:func:`reconcile_campaign`) re-runs, each round,
+  the damaged cells whose repair attempts are still below the per-cell
+  budget (:func:`repairable`), so a cell that keeps failing cannot spin
+  the loop forever.  One fault-tolerant
+  :class:`~repro.analysis.runner.ExperimentRunner` runs each round and
+  is closed after it, so quarantine state from an earlier round doesn't
+  pin a now-healthy cell.  It takes the CLI's jobs, task timeout and
+  retries, discards a bad cache entry before re-simulating (logging a
+  ``cache_warning`` with the reason) and writes its lifecycle to
+  ``reconcile.jsonl``; the detector then re-runs, until the matrix
+  converges or the budget is exhausted.
 
 Cell-state taxonomy
 -------------------
 
 ==============  ==========================================================
-``ok``          a healthy, schema-current cache entry exists
+``ok``          a healthy cache entry exists
 ``missing``     no cache entry and no run-log account — never ran, or
                 its shard died before starting it
 ``quarantined`` the run-logs record a quarantine (deadlock / poison /
@@ -35,40 +35,32 @@ Cell-state taxonomy
                 no usable entry — the result vanished after the fact
 ``corrupt``     a cache entry exists but is unusable: unreadable,
                 binary garbage, zero-byte, invalid JSON, not an object,
-                undeserialisable, or a payload whose identity does not
-                match the cell (misfiled)
-``stale-schema`` a cache entry parses but lacks result fields — written
-                by an older result layout, it must not be served
+                missing result fields, undeserialisable, or a payload
+                whose identity does not match the cell (misfiled)
 ==============  ==========================================================
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..analysis.runner import ExperimentRunner
 from ..core.stats import SimResult
 from ..serve.protocol import Cell
 from ..telemetry.runlog import RunLog, read_run_log_tolerant
 from ..telemetry.spans import SpanRecorder, derive_span_id
-from .campaign import CampaignSpec, campaign_root_context, make_runner
+from .campaign import (CampaignSpec, campaign_root_context, load_manifest,
+                       make_runner)
 
 #: Every state the detector can assign, healthy first.
-CELL_STATES = ("ok", "missing", "quarantined", "orphaned", "corrupt",
-               "stale-schema")
-
-#: States that demand a repair.
-DAMAGED_STATES = ("missing", "quarantined", "orphaned", "corrupt",
-                  "stale-schema")
+CELL_STATES = ("ok", "missing", "quarantined", "orphaned", "corrupt")
 
 #: Run-log events that account for a cell: the last one a cell has wins.
 _ACCOUNT_EVENTS = ("finish", "cache_hit", "quarantine")
 
-#: Default per-cell repair attempts before the engine gives up on it.
+#: Default per-cell repair attempts before reconcile gives up on it.
 DEFAULT_CELL_BUDGET = 2
 
 #: Default detector->repair->re-verify rounds.
@@ -201,71 +193,21 @@ def _account_verdict(record: Optional[Dict]) -> Tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# engine
+# the repair loop
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Repair:
-    """One planned repair: what to do about one damaged cell."""
+def repairable(diff: CampaignDiff, attempts: Dict[str, int],
+               cell_budget: int) -> List[CellStatus]:
+    """The damaged cells of ``diff`` that still have repair budget.
 
-    status: CellStatus
-    #: ``rerun`` (execute the cell again) or ``purge-rerun`` (delete the
-    #: bad cache entry first so the rerun cannot be served the damage)
-    action: str
-    #: repair attempts already charged to this cell before this one
-    attempt: int = 0
-
-    def to_dict(self) -> Dict:
-        return {"action": self.action, "attempt": self.attempt,
-                **self.status.to_dict()}
-
-
-@dataclass
-class RepairPlan:
-    """The engine's output: executable repairs + what it gave up on."""
-
-    repairs: List[Repair] = field(default_factory=list)
-    #: damaged cells whose per-cell budget is exhausted
-    exhausted: List[CellStatus] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.repairs
-
-
-class RepairEngine:
-    """Turns a diff into a bounded, typed repair plan.
-
-    ``cell_budget`` bounds how many repair attempts any one cell gets
-    across the whole reconciliation (the scheduler feeds attempts back
-    in); a cell that stays damaged past its budget is reported, not
-    retried forever — quarantine semantics, one level up.
+    ``attempts`` counts the rounds that already re-ran each cell key; a
+    cell that stays damaged through ``cell_budget`` of them is left for
+    the report's ``unrepaired`` list — quarantine semantics, one level
+    up.
     """
-
-    def __init__(self, cell_budget: int = DEFAULT_CELL_BUDGET):
-        self.cell_budget = max(1, cell_budget)
-
-    def plan(self, diff: CampaignDiff,
-             attempts: Optional[Dict[str, int]] = None) -> RepairPlan:
-        attempts = attempts or {}
-        plan = RepairPlan()
-        for status in diff.damaged:
-            spent = attempts.get(status.key, 0)
-            if spent >= self.cell_budget:
-                plan.exhausted.append(status)
-                continue
-            action = ("purge-rerun"
-                      if status.state in ("corrupt", "stale-schema")
-                      else "rerun")
-            plan.repairs.append(Repair(status=status, action=action,
-                                       attempt=spent))
-        return plan
-
-
-# ---------------------------------------------------------------------------
-# scheduler
-# ---------------------------------------------------------------------------
+    return [status for status in diff.damaged
+            if attempts.get(status.key, 0) < cell_budget]
 
 
 @dataclass
@@ -306,155 +248,104 @@ class ReconcileReport:
                 f"{len(self.unrepaired)} unrepaired")
 
 
-class RepairScheduler:
-    """Runs the detect -> plan -> repair -> re-verify loop to convergence.
+def reconcile_campaign(
+    campaign_dir: Union[str, Path],
+    spec: Optional[CampaignSpec] = None,
+    cache_dir: Optional[str] = None,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
+    jobs: Optional[int] = None,
+    task_timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    progress=None,
+    spans: bool = False,
+) -> ReconcileReport:
+    """Detect, repair and re-verify a campaign until it converges.
 
-    Repairs execute through a **fresh** fault-tolerant runner each
-    round (``runner_factory``) so quarantine records from previous
-    rounds or earlier lives don't pin a cell that would now succeed;
-    results merge through the shared cache exactly like any campaign.
-    Alternatively, ``submit`` (a callable taking a list of
-    :class:`~repro.serve.protocol.Cell` dicts) routes repairs to a
-    running ``repro serve`` daemon that shares the cache — see
-    :func:`submit_via_server`.
+    Each round re-runs the :func:`repairable` cells through one runner
+    built for it (``jobs`` workers, ``task_timeout`` and ``retries`` as
+    in any campaign) against the shared cache, and closes it after.
+    The runner reads each cell's entry through ``read_entry``: a bad
+    one is logged as a ``cache_warning`` and deleted before the cell
+    re-simulates.  Its lifecycle goes to ``reconcile.jsonl`` in the
+    campaign directory, so the next detector round sees the repairs — a
+    repaired quarantine is superseded by its ``finish`` record, and a
+    repair that quarantines again is charged against the cell's budget.
+    With ``spans``, every round is a ``reconcile_round`` span in the
+    campaign's trace and parents its cells.  The loop stops after
+    ``max_rounds`` rounds, or when no damaged cell has budget left.
     """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        cache_dir: Optional[str] = None,
-        engine: Optional[RepairEngine] = None,
-        detector: Optional[Detector] = None,
-        runner_factory: Optional[Callable[[], ExperimentRunner]] = None,
-        submit: Optional[Callable[[List[Cell]], None]] = None,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        jobs: Optional[int] = None,
-        progress=None,
-        spans: bool = False,
-    ):
-        self.spec = spec
-        self.cache_dir = cache_dir
-        self.engine = engine or RepairEngine()
-        self.detector = detector or Detector(spec, cache_dir=cache_dir)
-        if runner_factory is None:
-            runner_factory = lambda: make_runner(  # noqa: E731
-                spec, cache_dir=cache_dir, jobs=jobs)
-        self.runner_factory = runner_factory
-        self.submit = submit
-        self.max_rounds = max(1, max_rounds)
-        self.progress = progress or (lambda _msg: None)
-        #: record reconcile-round spans into the campaign's trace
-        self.spans = spans
-
-    # ------------------------------------------------------------------
-    def _purge(self, repair: Repair) -> None:
-        path = self.detector._runner.cache_path(repair.status.key)
-        if path is None:
-            return
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def reconcile(self, campaign_dir: Union[str, Path]) -> ReconcileReport:
-        """Drive the loop; returns the machine-readable report.
-
-        Repair runs write their own run-log (``reconcile.jsonl`` in the
-        campaign directory) so the next detector round sees the
-        repairs' lifecycle — a repaired quarantine is superseded by its
-        ``finish`` record, and a repair that quarantines again is
-        charged against the cell's budget.
-        """
-        started = time.perf_counter()
-        root = Path(campaign_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        log = RunLog(str(root / "reconcile.jsonl"))
-        recorder: Optional[SpanRecorder] = None
+    spec = spec if spec is not None else load_manifest(campaign_dir)
+    say = progress or (lambda _msg: None)
+    max_rounds, cell_budget = max(1, max_rounds), max(1, cell_budget)
+    started = time.perf_counter()
+    root = Path(campaign_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    log_path = str(root / "reconcile.jsonl")
+    log = RunLog(log_path)
+    # rides the campaign's deterministic trace so repairs land in the
+    # same merged view as the shards they heal
+    recorder = (SpanRecorder(str(root / "spans-reconcile.jsonl"))
+                if spans else None)
+    try:
         reconcile_span = None
-        if self.spans:
-            # rides the campaign's deterministic trace so repairs land
-            # in the same merged view as the shards they heal
-            recorder = SpanRecorder(str(root / "spans-reconcile.jsonl"))
-            parent = campaign_root_context(self.spec)
+        if recorder is not None:
+            parent = campaign_root_context(spec)
             reconcile_span = recorder.start(
                 "reconcile", parent=parent,
                 span_id=derive_span_id(parent.trace_id, "reconcile"),
-                max_rounds=self.max_rounds)
-        diff = self.detector.diff(root)
+                max_rounds=max_rounds)
+        detector = Detector(spec, cache_dir=cache_dir)
+        diff = detector.diff(root)
         report = ReconcileReport(cells=len(diff.statuses),
                                  initial=diff.by_state(),
                                  skipped_lines=diff.skipped_lines)
         log.log("reconcile_start", cells=report.cells,
-                max_rounds=self.max_rounds)
-        self.progress("reconcile: " + diff.summary())
+                max_rounds=max_rounds)
+        say("reconcile: " + diff.summary())
         attempts: Dict[str, int] = {}
         rounds = 0
-        while not diff.converged and rounds < self.max_rounds:
-            plan = self.engine.plan(diff, attempts)
-            if plan.empty:
+        while not diff.converged and rounds < max_rounds:
+            repairs = repairable(diff, attempts, cell_budget)
+            if not repairs:
                 break
             rounds += 1
-            round_span = None
+            round_span = trace = None
             if recorder is not None:
                 round_span = recorder.start(
                     "reconcile_round", parent=reconcile_span,
                     span_id=derive_span_id(reconcile_span.trace_id,
                                            "reconcile_round", rounds),
-                    round=rounds, repairs=len(plan.repairs))
-            for repair in plan.repairs:
-                attempts[repair.status.key] = repair.attempt + 1
-                if repair.action == "purge-rerun":
-                    self._purge(repair)
-            cells = [repair.status.cell for repair in plan.repairs]
-            self.progress(
-                f"reconcile: round {rounds} — repairing "
-                f"{len(cells)} cell(s) "
-                f"({', '.join(sorted({r.status.state for r in plan.repairs}))})")
-            if self.submit is not None:
-                self.submit(cells)
-            else:
-                runner_log = RunLog(str(root / "reconcile.jsonl"))
-                runner = self.runner_factory()
-                # route the repair runner's lifecycle into the campaign
-                # directory so the next detector pass can see it
-                old_log = runner.run_log
-                runner.run_log = runner_log
-                # likewise its cell spans into the campaign trace,
-                # nested under this repair round (getattr: the factory
-                # may hand back a duck-typed runner without span hooks)
-                old_spans = getattr(runner, "spans", None)
-                old_ctx = getattr(runner, "trace_ctx", None)
-                if round_span is not None:
-                    runner.spans = recorder
-                    runner.trace_ctx = round_span.context
-                    runner._trace_parent = round_span.context
-                try:
-                    runner.run_many([cell.task(self.spec.seed)
-                                     for cell in cells])
-                finally:
-                    runner.run_log = old_log
-                    if round_span is not None:
-                        runner.spans = old_spans
-                        runner.trace_ctx = old_ctx
-                        runner._trace_parent = old_ctx
-                    runner_log.close()
-                    close = getattr(runner, "close", None)
-                    if close is not None:
-                        close()
-            diff = self.detector.diff(root)
+                    round=rounds, repairs=len(repairs))
+                trace = round_span.context
+            for status in repairs:
+                attempts[status.key] = attempts.get(status.key, 0) + 1
+            states = ", ".join(sorted({status.state for status in repairs}))
+            say(f"reconcile: round {rounds} — repairing {len(repairs)} "
+                f"cell(s) ({states})")
+            runner = make_runner(
+                spec, cache_dir, run_log=log_path, jobs=jobs,
+                task_timeout=task_timeout, retries=retries, spans=recorder)
+            try:
+                runner.run_many(
+                    [status.cell.task(spec.seed) for status in repairs],
+                    trace=trace)
+            finally:
+                runner.close()
+            diff = detector.diff(root)
             round_states = diff.by_state()
-            log.log("reconcile_round", round=rounds,
-                    repairs=len(cells),
+            log.log("reconcile_round", round=rounds, repairs=len(repairs),
                     damaged=len(diff.damaged), states=round_states)
             if round_span is not None:
-                recorder.finish(round_span, damaged_after=len(diff.damaged))
+                recorder.finish(round_span,
+                                damaged_after=len(diff.damaged))
             report.rounds.append({
                 "round": rounds,
-                "repairs": len(cells),
+                "repairs": len(repairs),
                 "damaged_after": len(diff.damaged),
                 "states": round_states,
             })
-            self.progress("reconcile: " + diff.summary())
+            say("reconcile: " + diff.summary())
         report.final = diff.by_state()
         report.converged = diff.converged
         healthy_now = report.final.get("ok", 0)
@@ -462,63 +353,15 @@ class RepairScheduler:
         report.repaired = max(0, healthy_now - healthy_then)
         report.unrepaired = [status.to_dict() for status in diff.damaged]
         report.seconds = time.perf_counter() - started
-        log.log("reconcile_end", converged=report.converged,
-                rounds=rounds, repaired=report.repaired)
+        log.log("reconcile_end", converged=report.converged, rounds=rounds,
+                repaired=report.repaired)
         if recorder is not None:
             recorder.finish(
-                reconcile_span, status="ok" if report.converged else "error",
+                reconcile_span,
+                status="ok" if report.converged else "error",
                 rounds=rounds, repaired=report.repaired)
+        return report
+    finally:
+        if recorder is not None:
             recorder.close()
         log.close()
-        return report
-
-
-def submit_via_server(server: str, spec: CampaignSpec,
-                      timeout: float = 300.0) -> Callable[[List[Cell]], None]:
-    """A :class:`RepairScheduler` ``submit`` hook targeting a daemon.
-
-    Repairs go up as one interactive job (they're blocking a campaign's
-    convergence — the definition of interactive) with explicit seeds,
-    and the call waits for the job to finish so the next detector round
-    sees the daemon's writes in the shared cache.
-    """
-    from ..serve.client import ServeClient
-
-    client = ServeClient(server, retries=3)
-
-    def submit(cells: List[Cell]) -> None:
-        explicit = [
-            Cell(workload=cell.workload, arch=cell.arch, width=cell.width,
-                 seed=cell.seed if cell.seed is not None else spec.seed)
-            for cell in cells
-        ]
-        job = client.submit(cells=[cell.to_dict() for cell in explicit],
-                            priority="interactive", tenant="reconcile")
-        client.wait(job["job_id"], timeout=timeout)
-
-    return submit
-
-
-def reconcile_campaign(
-    campaign_dir: Union[str, Path],
-    spec: Optional[CampaignSpec] = None,
-    cache_dir: Optional[str] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    server: Optional[str] = None,
-    jobs: Optional[int] = None,
-    progress=None,
-    spans: bool = False,
-) -> ReconcileReport:
-    """One-call reconciliation of a campaign directory (the CLI's core)."""
-    from .campaign import load_manifest
-
-    spec = spec if spec is not None else load_manifest(campaign_dir)
-    submit = (submit_via_server(server, spec)
-              if server is not None else None)
-    scheduler = RepairScheduler(
-        spec, cache_dir=cache_dir,
-        engine=RepairEngine(cell_budget=cell_budget),
-        submit=submit, max_rounds=max_rounds, jobs=jobs, progress=progress,
-        spans=spans)
-    return scheduler.reconcile(campaign_dir)

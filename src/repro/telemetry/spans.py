@@ -90,9 +90,9 @@ class SpanContext(NamedTuple):
     """The propagatable part of a span: ``(trace_id, span_id)``.
 
     This is what crosses process and host boundaries — the serve wire
-    protocol's optional ``trace`` field, the runner's ``trace_ctx``,
-    the shard environment — so children created elsewhere still parent
-    correctly.
+    protocol's optional ``trace`` field, the ``trace`` of a runner's
+    ``run_many`` batch, the shard environment — so children created
+    elsewhere still parent correctly.
     """
 
     trace_id: str

@@ -32,13 +32,17 @@ Fault kinds
 
 ``kill``/``hang``/``error`` fire only on a cell's first attempt, so the
 retry machinery is what makes the campaign green.  Faults are selected
-by a salted hash of the cell key — the same spec always poisons the
-same cells — and the spec travels to pool workers through the
-``REPRO_CHAOS`` environment variable, hooked in
+by a salted hash of the cell's identity (:func:`cell_id`: workload,
+config name, seed and op count) — the same spec always poisons the same
+cells, whatever the source tree, since the identity leaves out the
+model digest that the cache key hashes — and the spec travels to pool
+workers through the ``REPRO_CHAOS`` environment variable, hooked in
 ``repro.analysis.runner._run_task``.
 
 ``python -m repro chaos`` drives :func:`run_campaign`; the CI
-``chaos-smoke`` job runs it with a fixed seed on every push.
+``chaos-smoke`` job runs it with fixed seeds on every push, once with
+four workers and once with one, where every injected hang must end in
+a timeout.
 """
 
 from __future__ import annotations
@@ -72,18 +76,28 @@ class ChaosError(RuntimeError):
     """An injected (non-fatal) worker failure."""
 
 
+def cell_id(workload: str, config_name: str, seed: int,
+            target_ops: int) -> str:
+    """The identity a cell's fault is drawn from.
+
+    Unlike the cache key it does not hash the simulator's source, so an
+    edit anywhere under ``src/repro/`` leaves every draw where it was.
+    """
+    return f"{workload}/{config_name}#{seed}@{target_ops}"
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """Which faults to inject, with what probability, keyed how.
 
     Probabilities are per-cell bands of a single salted hash draw, so a
     cell receives at most one fault kind and the assignment is a pure
-    function of (salt, cell key) — reproducible across processes and
-    runs.  ``kill``/``hang``/``error`` fire only while ``attempt <
-    attempts`` (default: first attempt only); ``wedge`` and ``poison``
-    model deterministic failures and fire on every attempt (a wedge
-    whose first attempt is lost to a pool break must still wedge the
-    retry, or the "deterministic deadlock" would vanish on requeue).
+    function of (salt, :func:`cell_id`) — reproducible across processes,
+    runs and source edits.  ``kill``/``hang``/``error`` fire only while
+    ``attempt < attempts`` (default: first attempt only); ``wedge`` and
+    ``poison`` model deterministic failures and fire on every attempt (a
+    wedge whose first attempt is lost to a pool break must still wedge
+    the retry, or the "deterministic deadlock" would vanish on requeue).
     """
 
     kill: float = 0.0
@@ -111,14 +125,15 @@ class ChaosSpec:
         return cls.decode(text) if text else None
 
     # ------------------------------------------------------------------
-    def draw(self, key: str) -> float:
-        """Deterministic uniform draw in [0, 1) for one cell key."""
-        digest = hashlib.sha256(f"{self.salt}:{key}".encode()).digest()
+    def draw(self, cell: str) -> float:
+        """Deterministic uniform draw in [0, 1) for one :func:`cell_id`."""
+        digest = hashlib.sha256(f"{self.salt}:{cell}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
-    def fault_for(self, key: str, attempt: int) -> Optional[str]:
-        """The fault this cell suffers on this attempt, if any."""
-        draw = self.draw(key)
+    def fault_for(self, cell: str, attempt: int) -> Optional[str]:
+        """The fault cell ``cell`` (a :func:`cell_id`) suffers on this
+        attempt, if any."""
+        draw = self.draw(cell)
         edge = 0.0
         for kind in FAULT_KINDS:
             edge += getattr(self, kind)
@@ -175,7 +190,7 @@ def run_wedged(workload: str, config: CoreConfig, seed: int,
 
 
 def worker_fault(workload: str, config: CoreConfig, seed: int,
-                 target_ops: int, key: str, attempt: int):
+                 target_ops: int, attempt: int):
     """Inject this cell's fault, if the env-configured spec names one.
 
     Returns ``None`` when the task should simulate normally (no spec, no
@@ -185,7 +200,8 @@ def worker_fault(workload: str, config: CoreConfig, seed: int,
     spec = ChaosSpec.from_env()
     if spec is None:
         return None
-    fault = spec.fault_for(key, attempt)
+    fault = spec.fault_for(cell_id(workload, config.name, seed, target_ops),
+                           attempt)
     if fault is None:
         return None
     if fault == "kill":
@@ -245,11 +261,15 @@ class ChaosReport:
     pool_restarts: int = 0
     cache_warnings: int = 0
     snapshots_missing: List[str] = field(default_factory=list)
+    #: injected hangs that ended without a timeout in a one-worker run,
+    #: where no pool restart can requeue a hung cell first
+    untimed_hangs: int = 0
 
     @property
     def ok(self) -> bool:
         return not (self.unexpected_quarantines or self.missing_quarantines
-                    or self.mismatches or self.snapshots_missing)
+                    or self.mismatches or self.snapshots_missing
+                    or self.untimed_hangs)
 
     def summary(self) -> str:
         faults = ", ".join(
@@ -282,6 +302,9 @@ class ChaosReport:
             if items:
                 lines.append(f"{title}:")
                 lines += [f"  - {item}" for item in items]
+        if self.untimed_hangs:
+            lines.append(f"{self.untimed_hangs} injected hang(s) ended "
+                         f"without a timeout in the one-worker run")
         return "\n".join(lines)
 
 
@@ -313,7 +336,9 @@ def run_campaign(
        fault spec exported to them;
     4. verdict: campaign completed, quarantine set == the deterministic
        persistent faults, all other cells byte-identical to baseline,
-       every deadlock quarantine carries its pipeline snapshot.
+       every deadlock quarantine carries its pipeline snapshot, and —
+       with one worker, where no pool restart can requeue a hung cell
+       before its deadline — every injected hang ended in a timeout.
 
     ``retries`` is deliberately above the fault spec's single faulted
     attempt: pool breakage charges an attempt to every in-flight cell
@@ -372,7 +397,10 @@ def run_campaign(
 
         # ---------------- verdict ----------------
         keys = [runner.key_for(w, c, seed) for w, c in tasks]
-        fault_of = {key: spec.fault_for(key, 0) for key in keys}
+        fault_of = {
+            key: spec.fault_for(cell_id(w, c.name, seed, target_ops), 0)
+            for (w, c), key in zip(tasks, keys)
+        }
         expected_faults: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         for fault in fault_of.values():
             if fault:
@@ -390,6 +418,9 @@ def run_campaign(
             pool_restarts=runner.pool_restarts,
             cache_warnings=runner.cache_warnings,
         )
+        if jobs == 1:
+            report.untimed_hangs = max(
+                0, expected_faults["hang"] - runner.timeouts)
         for (workload, config), key, result in zip(tasks, keys, results):
             cell = f"{workload}/{config.name}"
             if not result.ok:
@@ -429,8 +460,8 @@ class DistribChaosReport:
 
     The drill's contract is *closure*: every hole it tears — a shard
     killed before it starts, run-log lines shredded mid-campaign,
-    quarantines, cache entries corrupted or rewritten with a stale
-    schema — must be (1) detected by the reconciliation detector and
+    quarantines, cache entries corrupted or stripped of result fields —
+    must be (1) detected by the reconciliation detector and
     (2) healed by the repair loop, leaving a campaign byte-identical
     to a clean serial run.
     """
@@ -440,7 +471,7 @@ class DistribChaosReport:
     killed_shard: int
     poisoned: List[str] = field(default_factory=list)
     corrupted_entries: int = 0
-    stale_entries: int = 0
+    stripped_entries: int = 0
     shredded_lines: int = 0
     initial_states: Dict[str, int] = field(default_factory=dict)
     final_states: Dict[str, int] = field(default_factory=dict)
@@ -463,9 +494,10 @@ class DistribChaosReport:
             f"distributed chaos {verdict}: {self.cells} cells over "
             f"{self.shards} shards; shard {self.killed_shard} killed, "
             f"{len(self.poisoned)} poisoned, {self.corrupted_entries} "
-            f"cache entries corrupted, {self.stale_entries} stale-schema, "
-            f"{self.shredded_lines} run-log lines shredded; detector saw "
-            f"{damaged} damaged, reconcile converged={self.converged} in "
+            f"cache entries corrupted, {self.stripped_entries} "
+            f"field-stripped, {self.shredded_lines} run-log lines "
+            f"shredded; detector saw {damaged} damaged, reconcile "
+            f"converged={self.converged} in "
             f"{self.rounds} round(s), {len(self.undetected)} undetected, "
             f"{len(self.mismatches)} mismatches vs clean serial run"
         )
@@ -521,7 +553,7 @@ def run_distributed(
        surface as ``missing``) — with a ``poison`` fault spec exported
        so some surviving cells quarantine;
     3. post-hoc damage: shred run-log lines mid-file, corrupt a cache
-       entry, rewrite another with a stale (field-stripped) schema;
+       entry, strip result fields from another;
     4. ``merge_shards`` must report the campaign incomplete, naming
        the holes as gaps;
     5. ``reconcile_campaign`` (chaos spec cleared — the faults were
@@ -590,11 +622,13 @@ def run_distributed(
             workload, config, cell_seed = cell.task(seed)
             killed_keys.add(detector._runner.key_for(workload, config,
                                                      cell_seed))
-        poisoned_keys = {
-            key for _seq, _cell, key in expected_cells
-            if key not in killed_keys
-            and fault_spec.fault_for(key, 0) == "poison"
-        }
+        poisoned_keys = set()
+        for _seq, cell, key in expected_cells:
+            workload, config, cell_seed = cell.task(seed)
+            fault = fault_spec.fault_for(
+                cell_id(workload, config.name, cell_seed, target_ops), 0)
+            if key not in killed_keys and fault == "poison":
+                poisoned_keys.add(key)
 
         # 3a. shred run-log lines mid-file (a dying writer / disk fault)
         shredded = 0
@@ -608,7 +642,7 @@ def run_distributed(
             (seq, cell, key) for seq, cell, key in expected_cells
             if key not in killed_keys and key not in poisoned_keys
         ]
-        corrupted_keys, stale_keys = set(), set()
+        corrupted_keys, stripped_keys = set(), set()
         if len(healthy) >= 1:
             _, _, victim = healthy[0]
             corrupt_files([cache / f"{victim}.json"])
@@ -619,8 +653,8 @@ def run_distributed(
             payload = json.loads(path.read_text())
             for name in ("sampling", "memory_stats", "interval_samples"):
                 payload.pop(name, None)
-            path.write_text(json.dumps(payload))  # an older layout
-            stale_keys.add(victim)
+            path.write_text(json.dumps(payload))
+            stripped_keys.add(victim)
 
         # 4. the merge must name the holes
         merged = merge_shards(spec, camp, cache_dir=str(cache), write=True)
@@ -629,7 +663,8 @@ def run_distributed(
 
         # 5. detect + repair to byte-identical convergence
         diff = detector.diff(camp)
-        injected = killed_keys | poisoned_keys | corrupted_keys | stale_keys
+        injected = (killed_keys | poisoned_keys | corrupted_keys
+                    | stripped_keys)
         damaged_keys = {status.key for status in diff.damaged}
         label_of = {key: f"{cell.workload}/{cell.arch}@{cell.width}"
                     for _seq, cell, key in expected_cells}
@@ -637,7 +672,7 @@ def run_distributed(
             cells=len(cells), shards=n_shards, killed_shard=killed,
             poisoned=sorted(label_of[k] for k in poisoned_keys),
             corrupted_entries=len(corrupted_keys),
-            stale_entries=len(stale_keys),
+            stripped_entries=len(stripped_keys),
             shredded_lines=shredded,
             initial_states=diff.by_state(),
         )
@@ -648,8 +683,8 @@ def run_distributed(
         say("distrib chaos: " + diff.summary())
         outcome = reconcile_campaign(
             camp, spec=spec, cache_dir=str(cache),
-            max_rounds=4, cell_budget=3, jobs=jobs, progress=say,
-            spans=True)
+            max_rounds=4, cell_budget=3, jobs=jobs, task_timeout=timeout,
+            progress=say, spans=True)
         report.final_states = outcome.final
         report.rounds = len(outcome.rounds)
         report.converged = outcome.converged

@@ -123,7 +123,7 @@ DAMAGE = {
     "non-object": (lambda path, _: path.write_text("[1, 2]"),
                    "corrupt", "not-an-object"),
     "missing-fields": (_edit_payload(lambda data: data.pop("sampling")),
-                       "stale-schema", "missing fields: sampling"),
+                       "corrupt", "missing fields: sampling"),
     "misfiled": (_edit_payload(lambda data: data.update(
         workload="histogram")),
         "corrupt", "misfiled: payload claims workload 'histogram'"),

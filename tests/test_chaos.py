@@ -8,7 +8,9 @@ import pytest
 
 from repro.analysis.runner import ExperimentRunner, FailedResult
 from repro.core.config import config_for
-from repro.verify.chaos import ENV_VAR, ChaosSpec, run_campaign
+from repro.verify.chaos import (ENV_VAR, ChaosReport, ChaosSpec, cell_id,
+                                run_campaign)
+from repro.workloads.suite import SMOKE_NAMES, SUITE_NAMES
 
 OPS = 500
 
@@ -32,10 +34,11 @@ def _tasks(*arches):
 
 def _spec_hitting(runner, tasks, fault, index, **spec_kw):
     """A spec whose ``fault`` hits exactly ``tasks[index]`` on attempt 0."""
-    keys = [runner.key_for(w, c) for w, c in tasks]
+    cells = [cell_id(w, c.name, runner.seed, runner.target_ops)
+             for w, c in tasks]
     for salt in range(5_000):
         spec = ChaosSpec(salt=salt, **spec_kw)
-        got = [spec.fault_for(key, 0) for key in keys]
+        got = [spec.fault_for(cell, 0) for cell in cells]
         if got[index] == fault and all(
             g is None for i, g in enumerate(got) if i != index
         ):
@@ -53,6 +56,62 @@ def test_spec_roundtrip_and_determinism():
     faults = [spec.fault_for(f"key{i}", 0) for i in range(64)]
     assert faults == [spec.fault_for(f"key{i}", 0) for i in range(64)]
     assert any(faults)  # the bands actually select cells
+
+
+def test_worker_draws_the_fault_the_verdict_expects(monkeypatch):
+    """The worker and the drills' verdicts both draw a cell's fault from
+    its ``cell_id``, so they agree on which cells hang."""
+    from types import SimpleNamespace
+
+    from repro.verify import chaos
+
+    spec = ChaosSpec(hang=0.5, salt=1)
+    slept = []
+    monkeypatch.setenv(ENV_VAR, spec.encode())
+    monkeypatch.setattr(chaos, "time", SimpleNamespace(sleep=slept.append))
+    config = config_for("ooo")
+    hung = []
+    for workload in SUITE_NAMES:
+        slept.clear()
+        assert chaos.worker_fault(workload, config, 7, OPS, 0) is None
+        hung.append(bool(slept))
+        assert hung[-1] == (spec.fault_for(
+            cell_id(workload, config.name, 7, OPS), 0) == "hang")
+    assert any(hung) and not all(hung)
+
+
+def test_ci_one_worker_drill_draws_a_hang():
+    """CI's one-worker chaos step exercises the timeout path: the smoke
+    draw of its seed holds a hang, and with one worker no pool restart
+    can requeue the hung cell before its deadline."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    from repro.cli import _make_parser
+
+    ci = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+          / "ci.yml").read_text()
+    (command,) = re.findall(
+        r"python -m repro (--ops \d+\s+chaos --smoke [^\n]*--jobs 1 [^\n]*)",
+        ci)
+    args = _make_parser().parse_args(shlex.split(command))
+    spec = ChaosSpec(kill=args.kill, hang=args.hang, error=args.error,
+                     wedge=args.wedge, poison=args.poison, salt=args.seed)
+    faults = [spec.fault_for(cell_id(w, config_for(a).name, args.seed,
+                                     args.ops), 0)
+              for a in args.arches for w in SMOKE_NAMES]
+    assert faults.count("hang") >= 1
+    assert args.timeout < spec.hang_seconds
+
+
+def test_untimed_hang_fails_the_verdict():
+    report = ChaosReport(cells=1, expected_faults={"hang": 1},
+                         corrupted_results=0)
+    assert report.ok
+    report.untimed_hangs = 1
+    assert not report.ok
+    assert "without a timeout" in report.full_report()
 
 
 def test_transient_faults_are_attempt_gated():
@@ -217,6 +276,7 @@ def test_distributed_drill_closes_every_hole(tmp_path):
     # the drill actually injected distribution-level damage
     assert report.initial_states["missing"] > 0  # the killed shard
     assert report.shredded_lines > 0
+    assert report.poisoned  # surviving cells quarantined, then repaired
 
 
 def test_distributed_drill_needs_two_shards():

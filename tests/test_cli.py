@@ -561,6 +561,55 @@ class TestCampaignReconcile:
             capsys.readouterr().err
         assert not typo.exists()
 
+    def test_reconcile_repairs_under_the_task_timeout(self, cli, dirs,
+                                                      monkeypatch):
+        """``--task-timeout`` and ``--retries`` reach the round's runner:
+        a repair that hangs is timed out and quarantined, not waited on."""
+        import time
+
+        from repro.telemetry.runlog import read_run_log
+        from repro.verify.chaos import ENV_VAR, ChaosSpec
+
+        camp, cache = dirs
+        assert cli(*self._shard_args(camp, cache, 0)) == 0
+        monkeypatch.setenv(ENV_VAR,
+                           ChaosSpec(hang=1.0, hang_seconds=15).encode())
+        started = time.monotonic()
+        assert cli("--task-timeout", "1", "--retries", "0", "reconcile",
+                   "--campaign-dir", camp, "--cache-dir", cache,
+                   "--max-rounds", "1") == 1
+        assert time.monotonic() - started < 10
+        log = os.path.join(camp, "reconcile.jsonl")
+        assert read_run_log(log, event="timeout")
+        quarantines = read_run_log(log, event="quarantine")
+        assert quarantines
+        assert {q["kind"] for q in quarantines} == {"timeout"}
+
+    def test_reconcile_has_no_server_option(self, cli, dirs):
+        camp, cache = dirs
+        with pytest.raises(SystemExit) as exc:
+            cli("reconcile", "--campaign-dir", camp, "--cache-dir", cache,
+                "--server", "http://127.0.0.1:9")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ("campaign", "--shard", "0/2", "--workloads", "dotprod",
+         "--arches", "ooo"),
+        ("campaign", "--merge"),
+        ("reconcile",)],
+        ids=["campaign-shard", "campaign-merge", "reconcile"])
+    def test_campaign_commands_refuse_no_cache(self, cli, capsys, dirs,
+                                               command):
+        """Shards, the merge and reconcile meet only in the cache: with
+        it disabled they would audit and repair nothing."""
+        camp, cache = dirs
+        assert cli(*self._shard_args(camp, cache, 0)) == 0
+        capsys.readouterr()
+        assert cli("--no-cache", command[0], "--campaign-dir", camp,
+                   *command[1:]) == 2
+        assert "result cache is disabled" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(camp, "reconcile.jsonl"))
+
     def test_reconcile_without_manifest_fails_cleanly(self, cli, capsys,
                                                       tmp_path):
         assert cli("reconcile", "--campaign-dir",

@@ -8,18 +8,19 @@ from repro.analysis.runner import ExperimentRunner
 from repro.distrib import (
     CampaignSpec,
     Detector,
-    RepairEngine,
-    RepairScheduler,
     cell_label,
     load_manifest,
     merge_shards,
+    merge_trace,
     reconcile_campaign,
     run_shard,
     shard_cells,
     shard_of,
 )
-from repro.distrib.reconcile import CampaignDiff, CellStatus
-from repro.telemetry.runlog import RunLog
+from repro.distrib.reconcile import CampaignDiff, CellStatus, repairable
+from repro.telemetry.runlog import RunLog, read_run_log_tolerant
+from repro.telemetry.spans import derive_span_id, read_spans
+from repro.verify.chaos import ENV_VAR, ChaosSpec
 
 OPS = 400
 
@@ -231,7 +232,9 @@ class TestDetector:
         assert status.state == "corrupt"
         assert "zero-byte" in status.detail
 
-    def test_field_stripped_entry_is_stale_schema(self, tmp_path):
+    def test_field_stripped_entry_is_corrupt(self, tmp_path):
+        """The key hashes the model's code, so an entry found under it
+        that lacks result fields was damaged, not written by other code."""
         _, camp, _, detector = self._setup(tmp_path)
         _, _, key = detector.expected()[0]
         path = detector._runner.cache_path(key)
@@ -239,8 +242,8 @@ class TestDetector:
         del payload["sampling"], payload["memory_stats"]
         path.write_text(json.dumps(payload))
         (status,) = detector.diff(camp).damaged
-        assert status.state == "stale-schema"
-        assert "sampling" in status.detail
+        assert status.state == "corrupt"
+        assert status.detail == "missing fields: memory_stats, sampling"
 
     def test_misfiled_entry_is_corrupt(self, tmp_path):
         """An entry whose payload claims a different workload."""
@@ -324,7 +327,7 @@ class TestDetector:
 
 
 # ---------------------------------------------------------------------------
-# repair engine
+# the repair filter
 
 
 def _status(state, key="k", seq=0):
@@ -332,36 +335,19 @@ def _status(state, key="k", seq=0):
     return CellStatus(seq=seq, cell=cell, key=key, state=state)
 
 
-class TestRepairEngine:
-    def test_corrupt_and_stale_get_purge_rerun(self):
-        diff = CampaignDiff(statuses=[
-            _status("corrupt", "a"), _status("stale-schema", "b"),
-            _status("missing", "c"), _status("orphaned", "d"),
-        ])
-        plan = RepairEngine().plan(diff)
-        actions = {r.status.key: r.action for r in plan.repairs}
-        assert actions == {"a": "purge-rerun", "b": "purge-rerun",
-                           "c": "rerun", "d": "rerun"}
-
-    def test_ok_cells_never_planned(self):
-        plan = RepairEngine().plan(CampaignDiff(statuses=[_status("ok")]))
-        assert plan.empty and not plan.exhausted
-
-    def test_budget_exhaustion_reported_not_retried(self):
-        diff = CampaignDiff(statuses=[_status("missing", "x")])
-        engine = RepairEngine(cell_budget=2)
-        plan = engine.plan(diff, attempts={"x": 2})
-        assert plan.empty
-        assert [s.key for s in plan.exhausted] == ["x"]
-
-    def test_attempts_below_budget_still_planned(self):
-        diff = CampaignDiff(statuses=[_status("missing", "x")])
-        plan = RepairEngine(cell_budget=2).plan(diff, attempts={"x": 1})
-        assert [r.attempt for r in plan.repairs] == [1]
+@pytest.mark.parametrize("state, spent, picked", [
+    ("ok", 0, False),
+    ("missing", 2, False),
+    ("missing", 1, True),
+], ids=["ok-cell", "budget-spent", "budget-left"])
+def test_repairable_picks_damaged_cells_with_budget(state, spent, picked):
+    diff = CampaignDiff(statuses=[_status(state, "x")])
+    got = repairable(diff, attempts={"x": spent}, cell_budget=2)
+    assert [status.key for status in got] == (["x"] if picked else [])
 
 
 # ---------------------------------------------------------------------------
-# scheduler / end-to-end reconciliation
+# end-to-end reconciliation
 
 
 class TestReconcile:
@@ -404,26 +390,25 @@ class TestReconcile:
         assert report.converged and not report.rounds
         assert report.repaired == 0
 
-    def test_unrepairable_cell_exhausts_budget(self, tmp_path):
+    def test_unrepairable_cell_exhausts_budget(self, tmp_path,
+                                               monkeypatch):
         """A repair that never lands must stop at the budget, not spin."""
         camp, cache = paths(tmp_path)
         spec = make_spec()
         spec.save(camp)
         run_shard(spec, 0, camp, cache_dir=cache)
-
-        class NoOpRunner:
-            run_log = None
-
-            def run_many(self, tasks):
-                return []
-
-        scheduler = RepairScheduler(
-            spec, cache_dir=cache, engine=RepairEngine(cell_budget=2),
-            runner_factory=NoOpRunner, max_rounds=5)
-        report = scheduler.reconcile(camp)
+        monkeypatch.setenv(ENV_VAR, ChaosSpec(poison=1.0).encode())
+        report = reconcile_campaign(camp, cache_dir=cache, cell_budget=2,
+                                    max_rounds=5, retries=0)
         assert not report.converged
         assert len(report.rounds) == 2  # budget, not max_rounds, stopped it
-        assert report.unrepaired
+        owed = len(spec.shards()[1])
+        assert len(report.unrepaired) == owed
+        assert {cell["state"] for cell in report.unrepaired} == \
+            {"quarantined"}
+        records, _ = read_run_log_tolerant(str(camp / "reconcile.jsonl"))
+        quarantines = [r for r in records if r["event"] == "quarantine"]
+        assert len(quarantines) == 2 * owed  # one per cell per round
 
     def test_report_is_machine_readable(self, tmp_path):
         camp, cache = paths(tmp_path)
@@ -437,8 +422,6 @@ class TestReconcile:
         assert payload["rounds"][0]["repairs"] > 0
 
     def test_reconcile_log_records_lifecycle(self, tmp_path):
-        from repro.telemetry.runlog import read_run_log_tolerant
-
         camp, cache = paths(tmp_path)
         spec = make_spec()
         spec.save(camp)
@@ -452,3 +435,42 @@ class TestReconcile:
         assert "reconcile_round" in events
         assert "reconcile_end" in events
         assert "finish" in events  # repairs leave lifecycle records
+
+    def test_repaired_corrupt_entry_leaves_its_reason(self, tmp_path):
+        """The round's runner discards a bad entry before re-running it
+        and logs why, so reconcile.jsonl records what was damaged."""
+        camp, cache = paths(tmp_path)
+        spec = make_spec()
+        run_all_shards(spec, camp, cache)
+        _, _, key = Detector(spec, cache_dir=cache).expected()[1]
+        (tmp_path / "cache" / f"{key}.json").write_text("{broken")
+        report = reconcile_campaign(camp, cache_dir=cache)
+        assert report.converged and report.repaired == 1
+        records, _ = read_run_log_tolerant(str(camp / "reconcile.jsonl"))
+        warnings = [r for r in records if r["event"] == "cache_warning"]
+        assert [(r["key"], r["reason"]) for r in warnings] == \
+            [(key, "invalid-json")]
+
+    def test_repaired_cells_span_under_their_round(self, tmp_path):
+        """With spans, each repaired cell's span parents under its
+        round's ``reconcile_round`` span, and the merged campaign trace
+        keeps it exactly once."""
+        camp, cache = paths(tmp_path)
+        spec = make_spec()
+        spec.save(camp)
+        run_shard(spec, 0, camp, cache_dir=cache, spans=True)
+        owed = [status.key for status in
+                Detector(spec, cache_dir=cache).diff(camp).damaged]
+        report = reconcile_campaign(camp, cache_dir=cache, spans=True)
+        assert report.converged and len(report.rounds) == 1
+        (round_span,) = [span for span in read_spans(
+            str(camp / "spans-reconcile.jsonl"))
+            if span.name == "reconcile_round"]
+        cells = [span for span in merge_trace(spec, camp)
+                 if span.name == "cell"]
+        assert len(cells) == len(spec.cells())
+        assert len({span.span_id for span in cells}) == len(cells)
+        repaired = {span.span_id for span in cells
+                    if span.parent_id == round_span.span_id}
+        assert repaired == {derive_span_id(round_span.trace_id, "cell", key)
+                            for key in owed}

@@ -147,8 +147,12 @@ class TestCampaignEvents:
         runner.run("histogram", config_for("ooo"))  # now cached
         assert len(_events(runner, "cache_hit")) == 1
 
-    def test_heartbeat_emitted_when_interval_zero(self, tmp_path):
-        runner = _runner(tmp_path, "beat", heartbeat_interval=0.0)
+    def test_heartbeat_emitted_when_interval_zero(self, tmp_path,
+                                                   monkeypatch):
+        import repro.analysis.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "HEARTBEAT_INTERVAL", 0.0)
+        runner = _runner(tmp_path, "beat")
         lines = []
         runner.progress = lines.append
         tasks = [(w, config_for("ooo"))

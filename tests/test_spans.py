@@ -189,9 +189,11 @@ class TestRunnerTracing:
         parent = SpanContext(new_trace_id(), new_span_id())
         runner = ExperimentRunner(
             target_ops=OPS, cache_dir=str(tmp_path / "cache"),
-            run_log=str(tmp_path / "run.jsonl"), trace_ctx=parent)
-        runner.run_many(_tasks())
-        runner.run_log.close()
+            run_log=str(tmp_path / "run.jsonl"))
+        try:
+            runner.run_many(_tasks(), trace=parent)
+        finally:
+            runner.close()
         finishes = read_run_log(str(tmp_path / "run.jsonl"), event="finish")
         assert finishes
         assert all(r["trace_id"] == parent.trace_id for r in finishes)
